@@ -6,7 +6,7 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build test race lint vet bench fmt clean
+.PHONY: all build test race lint vet bench bench-e2e fmt clean
 
 all: build lint test
 
@@ -39,6 +39,15 @@ $(BIN)/ctslint: FORCE
 
 bench:
 	$(GO) test -short -run '^$$' -bench . -benchtime 1x ./...
+
+# The end-to-end job-path benchmark (cmd/ctsbench, see BENCHMARK.json),
+# one 15 s run per workload at seed 1, built under .bench_build/.
+E2E_WORKLOADS := synth_cold eco_resubmit cache_hits cluster_gateway
+
+bench-e2e:
+	for w in $(E2E_WORKLOADS); do \
+		bash cmd/ctsbench/run.sh --workload $$w --seed 1 --seconds 15 --trace 0 || exit 1; \
+	done
 
 fmt:
 	gofmt -w $$(git ls-files '*.go' | grep -v /testdata/)

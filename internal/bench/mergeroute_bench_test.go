@@ -69,38 +69,58 @@ func BenchmarkMergeRouteScale(b *testing.B) {
 	}
 }
 
-// BenchmarkMergeRouteFlow measures whole-pipeline synthesis of scaled r1
-// under both routing strategies, so the per-merge numbers above can be read
-// against their end-to-end effect (most r1 merges sit below the hierarchical
-// grid threshold and take the flat fallback; the corridor path pays off on
-// the widely separated top-level merges).
+// BenchmarkMergeRouteFlow measures whole-pipeline synthesis under both
+// routing strategies at parallelism 1, so the per-merge numbers above can be
+// read against their end-to-end effect.  r1_150 is scaled r1 (most of its
+// merges sit below the hierarchical grid threshold and take the flat
+// fallback; the corridor path pays off on the widely separated top-level
+// merges).  sized_1024 is a seeded 1% move of SyntheticSized(1024), the
+// design ctsbench's synth_cold workload submits; its per-op cells metric is
+// the merge router's deterministic work count (mergeroute.WorkStats).
 func BenchmarkMergeRouteFlow(b *testing.B) {
 	tt := tech.Default()
 	lib := charlib.NewAnalytic(tt)
-	bm, err := SyntheticScaled("r1", 150)
+	r1, err := SyntheticScaled("r1", 150)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, strat := range []struct {
-		name string
-		s    cts.RoutingStrategy
+	sized, err := SyntheticSized(1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if sized, err = Perturb(sized, "move", 0.01, 1); err != nil {
+		b.Fatal(err)
+	}
+	for _, design := range []struct {
+		name  string
+		sinks []cts.Sink
 	}{
-		{"flat", cts.RoutingFlat},
-		{"hierarchical", cts.RoutingHierarchical},
+		{"r1_150", r1.Sinks},
+		{"sized_1024", sized.Sinks},
 	} {
-		b.Run(strat.name, func(b *testing.B) {
-			flow, err := cts.New(tt, cts.WithLibrary(lib),
-				cts.WithRoutingStrategy(strat.s), cts.WithParallelism(1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := flow.Run(context.Background(), bm.Sinks); err != nil {
+		for _, strat := range []struct {
+			name string
+			s    cts.RoutingStrategy
+		}{
+			{"flat", cts.RoutingFlat},
+			{"hierarchical", cts.RoutingHierarchical},
+		} {
+			b.Run(design.name+"/"+strat.name, func(b *testing.B) {
+				flow, err := cts.New(tt, cts.WithLibrary(lib),
+					cts.WithRoutingStrategy(strat.s), cts.WithParallelism(1))
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				b.ReportAllocs()
+				cells0 := mergeroute.WorkStats()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := flow.Run(context.Background(), design.sinks); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(mergeroute.WorkStats()-cells0)/float64(b.N), "cells/op")
+			})
+		}
 	}
 }

@@ -9,6 +9,7 @@ package circuit
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/tech"
@@ -58,6 +59,8 @@ type Sink struct {
 
 // Netlist is a flat RC + buffer netlist.
 type Netlist struct {
+	// nodeNames holds each node's name; "" marks an auto-named node, whose
+	// name NodeName derives from its ID only when asked.
 	nodeNames []string
 
 	Resistors []Resistor
@@ -73,12 +76,9 @@ func New() *Netlist {
 }
 
 // AddNode creates a new node and returns its ID.  An empty name is replaced
-// with an automatically generated one.
+// with an automatically generated one, "n<ID>".
 func (n *Netlist) AddNode(name string) NodeID {
 	id := NodeID(len(n.nodeNames))
-	if name == "" {
-		name = fmt.Sprintf("n%d", id)
-	}
 	n.nodeNames = append(n.nodeNames, name)
 	return id
 }
@@ -87,7 +87,12 @@ func (n *Netlist) AddNode(name string) NodeID {
 func (n *Netlist) NumNodes() int { return len(n.nodeNames) }
 
 // NodeName returns the name of the given node.
-func (n *Netlist) NodeName(id NodeID) string { return n.nodeNames[id] }
+func (n *Netlist) NodeName(id NodeID) string {
+	if name := n.nodeNames[id]; name != "" {
+		return name
+	}
+	return "n" + strconv.Itoa(int(id))
+}
 
 // AddResistor adds a resistance between two nodes.
 func (n *Netlist) AddResistor(a, b NodeID, ohms float64) {
@@ -166,19 +171,19 @@ func (n *Netlist) SpiceDeck(title string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "* %s\n", title)
 	for i, r := range n.Resistors {
-		fmt.Fprintf(&b, "R%d %s %s %.6g\n", i+1, n.nodeNames[r.A], n.nodeNames[r.B], r.Ohms)
+		fmt.Fprintf(&b, "R%d %s %s %.6g\n", i+1, n.NodeName(r.A), n.NodeName(r.B), r.Ohms)
 	}
 	for i, c := range n.Caps {
-		fmt.Fprintf(&b, "C%d %s 0 %.6gf\n", i+1, n.nodeNames[c.Node], c.FF)
+		fmt.Fprintf(&b, "C%d %s 0 %.6gf\n", i+1, n.NodeName(c.Node), c.FF)
 	}
 	for _, buf := range n.Buffers {
-		fmt.Fprintf(&b, "X%s %s %s %s\n", buf.Name, n.nodeNames[buf.In], n.nodeNames[buf.Out], buf.Buffer.Name)
+		fmt.Fprintf(&b, "X%s %s %s %s\n", buf.Name, n.NodeName(buf.In), n.NodeName(buf.Out), buf.Buffer.Name)
 	}
 	for _, s := range n.Sources {
-		fmt.Fprintf(&b, "V%s %s_in 0 PULSE\nR%s %s_in %s %.6g\n", s.Name, s.Name, s.Name, s.Name, n.nodeNames[s.Out], s.DriveRes)
+		fmt.Fprintf(&b, "V%s %s_in 0 PULSE\nR%s %s_in %s %.6g\n", s.Name, s.Name, s.Name, s.Name, n.NodeName(s.Out), s.DriveRes)
 	}
 	for _, s := range n.Sinks {
-		fmt.Fprintf(&b, "* sink %s at node %s load %.6gf\n", s.Name, n.nodeNames[s.Node], s.Cap)
+		fmt.Fprintf(&b, "* sink %s at node %s load %.6gf\n", s.Name, n.NodeName(s.Node), s.Cap)
 	}
 	b.WriteString(".end\n")
 	return b.String()

@@ -107,6 +107,60 @@ func TestSpiceDeck(t *testing.T) {
 	}
 }
 
+// TestSpiceDeckFixture pins the names of auto-named nodes and the exact deck
+// text of a small netlist mixing wires, a named node, a buffer, the source
+// and a sink.  Deck hashes elsewhere pin whole synthesized trees; this pins
+// the naming rule itself.
+func TestSpiceDeckFixture(t *testing.T) {
+	tt := tech.Default()
+	n := New()
+	src := n.AddSource("clk", tt.SourceDriveRes)
+	mid := n.AddWire(tt, src, 250, 100)
+	named := n.AddNode("tap")
+	n.AddResistor(mid, named, 12.5)
+	out := n.AddBuffer("b1", tt.Buffers[0], named)
+	end := n.AddWire(tt, out, 120, 100)
+	n.AddSink("ff1", end, tt.SinkCapDefault)
+
+	wantNames := []string{"0", "clk_out", "n2", "n3", "n4", "tap", "b1_out", "n7", "n8"}
+	if n.NumNodes() != len(wantNames) {
+		t.Fatalf("NumNodes = %d, want %d", n.NumNodes(), len(wantNames))
+	}
+	for id, want := range wantNames {
+		if got := n.NodeName(NodeID(id)); got != want {
+			t.Errorf("NodeName(%d) = %q, want %q", id, got, want)
+		}
+	}
+	const wantDeck = `* fixture
+R1 clk_out n2 8.33333
+R2 n2 n3 8.33333
+R3 n3 n4 8.33333
+R4 n4 tap 12.5
+R5 b1_out n7 6
+R6 n7 n8 6
+C1 clk_out 0 8.33333f
+C2 n2 0 8.33333f
+C3 n2 0 8.33333f
+C4 n3 0 8.33333f
+C5 n3 0 8.33333f
+C6 n4 0 8.33333f
+C7 tap 0 12f
+C8 b1_out 0 6f
+C9 n7 0 6f
+C10 n7 0 6f
+C11 n8 0 6f
+C12 n8 0 20f
+Xb1 tap b1_out BUF_X10
+Vclk clk_in 0 PULSE
+Rclk clk_in clk_out 25
+* sink ff1 at node n8 load 20f
+.end
+`
+	if got := n.SpiceDeck("fixture"); got != wantDeck {
+		t.Errorf("deck text changed:\n%s\nwant:\n%s", got, wantDeck)
+	}
+}
+
 func TestNodeNames(t *testing.T) {
 	n := New()
 	if n.NumNodes() != 1 || n.NodeName(Ground) != "0" {

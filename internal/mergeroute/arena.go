@@ -79,6 +79,19 @@ func ArenaStats() (gets, allocs uint64) {
 	return arenaGets.Load(), arenaAllocs.Load()
 }
 
+// cellsExpanded counts the grid cells closed by maze expansions (heap pops
+// that were not stale), process-wide.  Each expansion adds its count once,
+// on return, so the relaxation loop itself touches no shared state.
+var cellsExpanded atomic.Uint64
+
+// WorkStats reports the merge router's lifetime work counter: grid cells
+// expanded by the maze search, summed over every merge in the process.  The
+// search is deterministic, so a given set of merges always expands the same
+// number of cells — a noise-free measure of routing work.
+func WorkStats() (cells uint64) {
+	return cellsExpanded.Load()
+}
+
 // scratchPool hands out workspaces; see Merger.getScratch.
 var scratchPool = sync.Pool{New: func() interface{} {
 	arenaAllocs.Add(1)

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/clocktree"
 	"repro/internal/tech"
@@ -49,14 +50,21 @@ import (
 // base tree hash and encode identically to one captured at merge time.
 var codecMagic = [4]byte{'s', 't', 'c', '1'}
 
+// encodeBufs recycles EncodeSubtree's working buffers.  A value is built in
+// one and copied out at its exact length: caches keep every value they hold
+// and count its len against their byte budget, so spare capacity would be
+// memory no budget sees.
+var encodeBufs = sync.Pool{New: func() interface{} { return new([]byte) }}
+
 // EncodeSubtree serializes the sub-tree with its flip count into the cache
-// value format above.  The sub-tree is not modified.
+// value format above.  The sub-tree is not modified, and the returned slice
+// has no spare capacity (cap == len).
 func EncodeSubtree(s *Subtree, flips int) []byte {
 	// Preorder node flattening with an explicit stack: routed paths chain
 	// nodes thousands deep on large dies, too deep to recurse comfortably.
-	// The index map is built after the walk, sized exactly, so neither it
-	// nor the output buffer rehashes/regrows while serializing — EncodeSubtree
-	// sits on the incremental path's write-through hot loop.
+	// The index map is built after the walk, sized exactly, so it does not
+	// rehash while serializing — EncodeSubtree sits on the incremental
+	// path's write-through hot loop.
 	var order []*clocktree.Node
 	stack := []*clocktree.Node{s.Root}
 	for len(stack) > 0 {
@@ -72,11 +80,9 @@ func EncodeSubtree(s *Subtree, flips int) []byte {
 		index[n] = i
 	}
 
-	// ~160 bytes covers a worst-case node record (long name, buffer params,
-	// child indices) plus its share of the skeleton; the estimate only has
-	// to be close enough that growth is rare.
-	buf := make([]byte, 0, 32+160*len(order))
-	buf = append(buf, codecMagic[:]...)
+	bp := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(bp)
+	buf := append((*bp)[:0], codecMagic[:]...)
 	buf = binary.AppendUvarint(buf, uint64(flips))
 	buf = binary.AppendUvarint(buf, uint64(len(order)))
 	for i, n := range order {
@@ -107,8 +113,11 @@ func EncodeSubtree(s *Subtree, flips int) []byte {
 		}
 	}
 	buf = appendSkeleton(buf, s, index)
+	*bp = buf
 	sum := sha256.Sum256(buf)
-	return append(buf, sum[:codecChecksumLen]...)
+	out := make([]byte, len(buf), len(buf)+codecChecksumLen)
+	copy(out, buf)
+	return append(out, sum[:codecChecksumLen]...)
 }
 
 // codecChecksumLen is the truncated-sha256 trailer length; 64 bits is far

@@ -65,6 +65,36 @@ func TestSubtreeCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSubtreeCodecExactSize checks that every encoded value carries no spare
+// capacity: caches keep the slice and budget its len, so spare capacity
+// would be memory no budget counts.  The corpus is the fixture with both
+// flip counts, every sub-tree of its skeleton, a bare sink, and a decoded
+// re-encode.
+func TestSubtreeCodecExactSize(t *testing.T) {
+	root := mergedFixture(t)
+	tt := tech.Default()
+	corpus := []*Subtree{root, SinkSubtree("lone", geom.Pt(5, 7), tt.SinkCapDefault)}
+	for i := 0; i < len(corpus); i++ {
+		for _, c := range corpus[i].Children {
+			if c != nil {
+				corpus = append(corpus, c)
+			}
+		}
+	}
+	dec, _, err := DecodeSubtree(EncodeSubtree(root, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus = append(corpus, dec)
+	for i, s := range corpus {
+		for _, flips := range []int{0, 1} {
+			if v := EncodeSubtree(s, flips); cap(v) != len(v) {
+				t.Errorf("corpus %d flips %d: cap %d != len %d", i, flips, cap(v), len(v))
+			}
+		}
+	}
+}
+
 // TestSubtreeCodecNormalizesAttachedRoot checks the detached-root
 // normalization: encoding a sub-tree whose root has since been attached to a
 // parent (as happens when harvesting from a finished base tree) produces the

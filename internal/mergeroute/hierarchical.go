@@ -70,8 +70,8 @@ func (m *Merger) routeHierarchical(ctx context.Context, g grid, a, b *Subtree, r
 	if bestIdx < 0 {
 		return nil, nil, false, nil
 	}
-	sc.pathA = reconstruct(sc.statesA, bestIdx, rootA, sc.pathA, &sc.rev)
-	sc.pathB = reconstruct(sc.statesB, bestIdx, rootB, sc.pathB, &sc.rev)
+	sc.pathA = m.reconstruct(sc.statesA, bestIdx, rootA, sc.pathA, &sc.rev)
+	sc.pathB = m.reconstruct(sc.statesB, bestIdx, rootB, sc.pathB, &sc.rev)
 	return sc.pathA, sc.pathB, true, nil
 }
 

@@ -130,9 +130,8 @@ func (c Config) withDefaults() Config {
 
 // Merger performs merge-routing for one synthesis run.  A Merger is safe for
 // concurrent Merge calls on disjoint sub-tree pairs: its only mutable state is
-// the sharded per-load memo cache, and the cached values are pure functions of
-// the load capacitance, so concurrent and sequential runs see identical
-// numbers.
+// the per-load memo cache, and the cached values are pure functions of the
+// load capacitance, so concurrent and sequential runs see identical numbers.
 type Merger struct {
 	tech *tech.Technology
 	cfg  Config
@@ -141,47 +140,28 @@ type Merger struct {
 	maxDrivable drivableCache
 }
 
-// drivableShards is the shard count of the memo cache; loads hash across the
-// shards so concurrent merges rarely contend on one lock.
-const drivableShards = 16
-
-// drivableCache is the sharded per-load-capacitance memo of the longest
-// drivable wire length.
+// drivableCache is the per-load-capacitance memo of the longest drivable
+// wire length.  The maze expansion consults it once per seed and once per
+// buffer placement, never per relaxation, so one lock is enough.
 type drivableCache struct {
-	shards [drivableShards]struct {
-		mu sync.RWMutex
-		m  map[float64]float64 // guarded by mu
-	}
-}
-
-func (c *drivableCache) shard(loadCap float64) *struct {
-	mu sync.RWMutex
-	m  map[float64]float64
-} {
-	// Mix the float bits so that nearby loads spread over the shards.
-	h := math.Float64bits(loadCap)
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return &c.shards[h%drivableShards]
+	mu sync.Mutex
+	m  map[float64]float64 // guarded by mu
 }
 
 func (c *drivableCache) get(loadCap float64) (float64, bool) {
-	s := c.shard(loadCap)
-	s.mu.RLock()
-	v, ok := s.m[loadCap]
-	s.mu.RUnlock()
+	c.mu.Lock()
+	v, ok := c.m[loadCap]
+	c.mu.Unlock()
 	return v, ok
 }
 
 func (c *drivableCache) put(loadCap, v float64) {
-	s := c.shard(loadCap)
-	s.mu.Lock()
-	if s.m == nil {
-		s.m = map[float64]float64{}
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = map[float64]float64{}
 	}
-	s.m[loadCap] = v
-	s.mu.Unlock()
+	c.m[loadCap] = v
+	c.mu.Unlock()
 }
 
 // New returns a merger bound to the technology and configuration.
@@ -407,15 +387,17 @@ type cellState struct {
 	segLen float64
 	// loadCap is the capacitance of the last placed node.
 	loadCap float64
-	// lastPos is the position of the last placed node.
-	lastPos geom.Point
+	// segLimit is the open segment length past which a buffer must be
+	// placed: half the longest wire any library buffer drives into loadCap.
+	// It changes only with loadCap, at the seed and at each placement.
+	segLimit float64
 	// parent is the cell index this state was expanded from (-1 at the seed).
 	parent int
-	// placed records that a buffer (placedBuf, held by value so discarded
-	// cells cost no allocation) was inserted while entering this cell, at
+	// placed records that a buffer (placedBuf, an index into the
+	// technology's buffer list) was inserted while entering this cell, at
 	// position placedPos.
 	placed    bool
-	placedBuf tech.Buffer
+	placedBuf int
 	placedPos geom.Point
 	// placedDownMin/Max are the downstream delays at the placed buffer's
 	// input pin.
@@ -518,8 +500,8 @@ func (m *Merger) routeFlat(ctx context.Context, g grid, a, b *Subtree, rootA, ro
 		return nil, nil, fmt.Errorf("mergeroute: maze expansion found no common merge cell for roots %v and %v",
 			a.Pos(), b.Pos())
 	}
-	sc.pathA = reconstruct(sc.statesA, bestIdx, rootA, sc.pathA, &sc.rev)
-	sc.pathB = reconstruct(sc.statesB, bestIdx, rootB, sc.pathB, &sc.rev)
+	sc.pathA = m.reconstruct(sc.statesA, bestIdx, rootA, sc.pathA, &sc.rev)
+	sc.pathB = m.reconstruct(sc.statesB, bestIdx, rootB, sc.pathB, &sc.rev)
 	return sc.pathA, sc.pathB, nil
 }
 
@@ -579,8 +561,6 @@ func (m *Merger) buildGrid(p, q geom.Point) grid {
 // context is polled every few hundred heap pops — often enough that even a
 // maxed-out grid aborts within microseconds of cancellation.
 func (m *Merger) expand(ctx context.Context, g grid, s *Subtree, states []cellState, sc *scratch, corridor corridorMask) (uint64, error) {
-	lib := m.cfg.Lib
-	target := m.cfg.SlewTarget
 	refBuf := m.tech.Buffers[len(m.tech.Buffers)/2]
 
 	sc.gen++
@@ -601,12 +581,13 @@ func (m *Merger) expand(ctx context.Context, g grid, s *Subtree, states []cellSt
 	six, siy := g.cellOf(s.Pos())
 	start := g.index(six, siy)
 	seed := cellState{
-		gen:     gen,
-		baseMin: s.MinDelay, baseMax: s.MaxDelay,
-		segLen:  s.Pos().Manhattan(g.center(six, siy)),
-		loadCap: s.LoadCap,
-		lastPos: s.Pos(),
-		parent:  -1,
+		gen:      gen,
+		baseMin:  s.MinDelay,
+		baseMax:  s.MaxDelay,
+		segLen:   s.Pos().Manhattan(g.center(six, siy)),
+		loadCap:  s.LoadCap,
+		segLimit: 0.5 * m.maxDrivableLen(s.LoadCap),
+		parent:   -1,
 	}
 	seed.est = seed.baseMax + openDelay(seed.loadCap, seed.segLen)
 	states[start] = seed
@@ -614,9 +595,11 @@ func (m *Merger) expand(ctx context.Context, g grid, s *Subtree, states []cellSt
 	pq := &sc.pq
 	pq.reset()
 	pq.push(expandItem{idx: start, est: seed.est})
+	expanded := 0
 	for pops := 0; len(*pq) > 0; pops++ {
 		if pops%256 == 0 {
 			if err := ctx.Err(); err != nil {
+				cellsExpanded.Add(uint64(expanded))
 				return 0, err
 			}
 		}
@@ -625,7 +608,10 @@ func (m *Merger) expand(ctx context.Context, g grid, s *Subtree, states []cellSt
 			continue
 		}
 		visited[cur.idx] = gen
-		cs := states[cur.idx]
+		expanded++
+		// The popped state is read in place: relaxations write only
+		// neighbours, never the popped cell itself.
+		cs := &states[cur.idx]
 		cx, cy := cur.idx%g.nx, cur.idx/g.nx
 		for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
 			nxp, nyp := cx+d[0], cy+d[1]
@@ -639,73 +625,93 @@ func (m *Merger) expand(ctx context.Context, g grid, s *Subtree, states []cellSt
 			if visited[ni] == gen {
 				continue
 			}
-			next := cs
-			next.parent = cur.idx
-			next.placed = false
-			step := g.cellSize
-			newSeg := cs.segLen + step
-			curPos := g.center(cx, cy)
-			nextPos := g.center(nxp, nyp)
+			newSeg := cs.segLen + g.cellSize
 
-			// Insert buffers at half the maximum drivable spacing: the merge
-			// point later slides along the segment between the last fixed
-			// nodes of the two paths, so each individual open segment must
-			// leave room for the combined span to stay drivable.
-			if newSeg > 0.5*m.maxDrivableLen(cs.loadCap) {
-				// No buffer can drive the grown segment: insert one using the
-				// intelligent sizing rule, evaluating both the previous cell
-				// (shorter segment) and the current frontier.
-				buf, pos, segUsed, ok := m.chooseBuffer(cs.loadCap, cs.segLen, newSeg, curPos, nextPos)
-				if !ok {
-					// Even the previous cell cannot be driven; this indicates a
-					// degenerate configuration (extremely large load).  Place the
-					// largest buffer at the previous cell regardless.
-					buf, pos, segUsed = m.tech.LargestBuffer(), curPos, cs.segLen
+			// Insert buffers at half the maximum drivable spacing (segLimit):
+			// the merge point later slides along the segment between the last
+			// fixed nodes of the two paths, so each individual open segment
+			// must leave room for the combined span to stay drivable.
+			if newSeg > cs.segLimit {
+				next := m.placeBuffer(cs, newSeg, g.center(cx, cy), g.center(nxp, nyp))
+				next.parent = cur.idx
+				next.est = next.baseMax + openDelay(next.loadCap, next.segLen)
+				if states[ni].gen != gen || next.est < states[ni].est {
+					next.gen = gen
+					states[ni] = next
+					pq.push(expandItem{idx: ni, est: next.est})
 				}
-				segTiming := lib.SingleWire(buf, cs.loadCap, target, math.Max(segUsed, 1))
-				next.placed = true
-				next.placedBuf = buf
-				next.placedPos = pos
-				next.placedDownMin = cs.baseMin + segTiming.Total()
-				next.placedDownMax = cs.baseMax + segTiming.Total()
-				next.baseMin = next.placedDownMin
-				next.baseMax = next.placedDownMax
-				next.loadCap = buf.InputCap
-				next.lastPos = pos
-				next.segLen = pos.Manhattan(nextPos)
 			} else {
-				next.segLen = newSeg
-			}
-			next.est = next.baseMax + openDelay(next.loadCap, next.segLen)
-			if states[ni].gen != gen || next.est < states[ni].est {
-				next.gen = gen
-				states[ni] = next
-				pq.push(expandItem{idx: ni, est: next.est})
+				// The open segment grows; the neighbour's state is written
+				// only when this relaxation improves it, field by field (the
+				// placement fields are read only while placed is set).
+				est := cs.baseMax + openDelay(cs.loadCap, newSeg)
+				if ns := &states[ni]; ns.gen != gen || est < ns.est {
+					ns.gen = gen
+					ns.est = est
+					ns.baseMin, ns.baseMax = cs.baseMin, cs.baseMax
+					ns.segLen = newSeg
+					ns.loadCap = cs.loadCap
+					ns.segLimit = cs.segLimit
+					ns.parent = cur.idx
+					ns.placed = false
+					pq.push(expandItem{idx: ni, est: est})
+				}
 			}
 		}
 	}
+	cellsExpanded.Add(uint64(expanded))
 	return gen, nil
+}
+
+// placeBuffer returns the state of a relaxation from cs whose grown open
+// segment (newSeg) no buffer can drive: a buffer is inserted using the
+// intelligent sizing rule, evaluating both the previous cell (curPos, the
+// shorter segment) and the current frontier (nextPos).  The caller sets
+// parent, est and gen.
+func (m *Merger) placeBuffer(cs *cellState, newSeg float64, curPos, nextPos geom.Point) cellState {
+	bi, pos, segUsed, ok := m.chooseBuffer(cs.loadCap, cs.segLen, newSeg, curPos, nextPos)
+	if !ok {
+		// Even the previous cell cannot be driven; this indicates a
+		// degenerate configuration (extremely large load).  Place the
+		// largest buffer at the previous cell regardless.
+		bi, pos, segUsed = len(m.tech.Buffers)-1, curPos, cs.segLen
+	}
+	buf := &m.tech.Buffers[bi]
+	segTiming := m.cfg.Lib.SingleWire(*buf, cs.loadCap, m.cfg.SlewTarget, math.Max(segUsed, 1))
+	next := *cs
+	next.placed = true
+	next.placedBuf = bi
+	next.placedPos = pos
+	next.placedDownMin = cs.baseMin + segTiming.Total()
+	next.placedDownMax = cs.baseMax + segTiming.Total()
+	next.baseMin = next.placedDownMin
+	next.baseMax = next.placedDownMax
+	next.loadCap = buf.InputCap
+	next.segLimit = 0.5 * m.maxDrivableLen(buf.InputCap)
+	next.segLen = pos.Manhattan(nextPos)
+	return next
 }
 
 // chooseBuffer implements the intelligent buffer sizing of Section 4.2.2: all
 // buffer types are evaluated at the frontier cell (segment newSeg) and at the
 // previous cell (segment oldSeg); the placement whose far-end slew is closest
-// to the target without exceeding it wins.
-func (m *Merger) chooseBuffer(loadCap, oldSeg, newSeg float64, prevPos, frontierPos geom.Point) (tech.Buffer, geom.Point, float64, bool) {
+// to the target without exceeding it wins.  The buffer is returned as its
+// index in the technology's buffer list.
+func (m *Merger) chooseBuffer(loadCap, oldSeg, newSeg float64, prevPos, frontierPos geom.Point) (int, geom.Point, float64, bool) {
 	lib := m.cfg.Lib
 	target := m.cfg.SlewTarget
 	type cand struct {
-		buf tech.Buffer
+		buf int
 		pos geom.Point
 		seg float64
 	}
 	var best cand
 	bestSlack := math.Inf(1)
 	found := false
-	for _, buf := range m.tech.Buffers {
+	for bi, buf := range m.tech.Buffers {
 		for _, c := range []cand{
-			{buf: buf, pos: frontierPos, seg: newSeg},
-			{buf: buf, pos: prevPos, seg: oldSeg},
+			{buf: bi, pos: frontierPos, seg: newSeg},
+			{buf: bi, pos: prevPos, seg: oldSeg},
 		} {
 			if c.seg < 1 {
 				c.seg = 1
@@ -720,7 +726,7 @@ func (m *Merger) chooseBuffer(loadCap, oldSeg, newSeg float64, prevPos, frontier
 		}
 	}
 	if !found {
-		return tech.Buffer{}, geom.Point{}, 0, false
+		return 0, geom.Point{}, 0, false
 	}
 	return best.buf, best.pos, best.seg, true
 }
@@ -728,15 +734,15 @@ func (m *Merger) chooseBuffer(loadCap, oldSeg, newSeg float64, prevPos, frontier
 // reconstruct walks the parent pointers from the merge cell back to the seed
 // and returns the placed nodes ordered from the sub-tree root outwards, in
 // the caller's reusable path buffer (rev is the shared reversal scratch).
-// Only here do placed buffers materialize as heap copies: every pathNode on
-// the kept path escapes into the returned tree, while the (far more
-// numerous) discarded expansion states never allocate.
-func reconstruct(states []cellState, mergeIdx int, root pathNode, dst []pathNode, rev *[]pathNode) []pathNode {
+// Only here do placed buffers materialize as heap copies of their library
+// entry: every pathNode on the kept path escapes into the returned tree,
+// while the (far more numerous) discarded expansion states never allocate.
+func (m *Merger) reconstruct(states []cellState, mergeIdx int, root pathNode, dst []pathNode, rev *[]pathNode) []pathNode {
 	reversed := (*rev)[:0]
 	for idx := mergeIdx; idx >= 0; idx = states[idx].parent {
 		st := &states[idx]
 		if st.placed {
-			buf := st.placedBuf
+			buf := m.tech.Buffers[st.placedBuf]
 			reversed = append(reversed, pathNode{
 				pos:     st.placedPos,
 				buffer:  &buf,

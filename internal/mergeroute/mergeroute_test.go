@@ -215,7 +215,7 @@ func TestMergeCancellation(t *testing.T) {
 // TestConcurrentMergesMatchSequential drives one shared Merger from many
 // goroutines over disjoint pairs (the intra-level fan-out of pkg/cts) and
 // checks the results are bit-identical to a fresh sequential Merger's.  Run
-// with -race to exercise the sharded memo cache.
+// with -race to exercise the shared memo cache.
 func TestConcurrentMergesMatchSequential(t *testing.T) {
 	tt := tech.Default()
 	mkPairs := func() [][2]*Subtree {

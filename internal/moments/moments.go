@@ -17,15 +17,17 @@ import (
 )
 
 // Analysis holds the first two circuit moments of every node of one RC stage,
-// computed from a driving point through a resistive tree.
+// computed from a driving point through a resistive tree.  The per-node
+// slices are indexed by circuit.NodeID over the whole netlist; nodes the
+// driver does not reach read as zero.
 type Analysis struct {
 	// M1 is the Elmore delay (first moment) per node in ohm*fF.
-	M1 map[circuit.NodeID]float64
+	M1 []float64
 	// M2 is the second moment per node in (ohm*fF)^2.
-	M2 map[circuit.NodeID]float64
+	M2 []float64
 	// DownCap is the total capacitance at and below each node in fF
 	// (including the node's own capacitance), as seen from the driver.
-	DownCap map[circuit.NodeID]float64
+	DownCap []float64
 	// TotalCap is the total capacitance of the stage in fF.
 	TotalCap float64
 }
@@ -38,30 +40,53 @@ func Analyze(net *circuit.Netlist, driver circuit.NodeID, driveRes float64) (*An
 	if driveRes < 0 {
 		return nil, fmt.Errorf("moments: negative drive resistance %v", driveRes)
 	}
-	adj := make(map[circuit.NodeID][]edge)
+	// Node IDs are dense, so every per-node table is a slice.  The adjacency
+	// is stored compressed: node v's edges are adj[first[v]:first[v+1]], in
+	// resistor order, which fixes the traversal order below.
+	n := net.NumNodes()
+	first := make([]int, n+1)
 	for _, r := range net.Resistors {
 		if r.A == circuit.Ground || r.B == circuit.Ground {
 			continue
 		}
-		adj[r.A] = append(adj[r.A], edge{to: r.B, ohms: r.Ohms})
-		adj[r.B] = append(adj[r.B], edge{to: r.A, ohms: r.Ohms})
+		first[r.A+1]++
+		first[r.B+1]++
 	}
-	capAt := make(map[circuit.NodeID]float64)
+	for v := 0; v < n; v++ {
+		first[v+1] += first[v]
+	}
+	adj := make([]edge, first[n])
+	fill := append([]int(nil), first[:n]...)
+	for _, r := range net.Resistors {
+		if r.A == circuit.Ground || r.B == circuit.Ground {
+			continue
+		}
+		adj[fill[r.A]] = edge{to: r.B, ohms: r.Ohms}
+		fill[r.A]++
+		adj[fill[r.B]] = edge{to: r.A, ohms: r.Ohms}
+		fill[r.B]++
+	}
+	// One backing array holds the five per-node float tables.
+	floats := make([]float64, 5*n)
+	capAt, weighted := floats[:n:n], floats[n:2*n:2*n]
+	a := &Analysis{M1: floats[2*n : 3*n : 3*n], M2: floats[3*n : 4*n : 4*n], DownCap: floats[4*n:]}
 	for _, c := range net.Caps {
 		capAt[c.Node] += c.FF
 	}
 
-	// Depth-first traversal from the driver, recording parent edges.
+	// Breadth-first traversal from the driver, recording parent edges.
 	type frame struct {
 		node   circuit.NodeID
 		parent circuit.NodeID
 		ohms   float64
 	}
-	order := []frame{{node: driver, parent: driver, ohms: driveRes}}
-	seen := map[circuit.NodeID]bool{driver: true}
+	order := make([]frame, 1, n)
+	order[0] = frame{node: driver, parent: driver, ohms: driveRes}
+	seen := make([]bool, n)
+	seen[driver] = true
 	for i := 0; i < len(order); i++ {
 		f := order[i]
-		for _, e := range adj[f.node] {
+		for _, e := range adj[first[f.node]:first[f.node+1]] {
 			if seen[e.to] {
 				if e.to != f.parent {
 					return nil, fmt.Errorf("moments: resistive loop detected at node %d", e.to)
@@ -71,12 +96,6 @@ func Analyze(net *circuit.Netlist, driver circuit.NodeID, driveRes float64) (*An
 			seen[e.to] = true
 			order = append(order, frame{node: e.to, parent: f.node, ohms: e.ohms})
 		}
-	}
-
-	a := &Analysis{
-		M1:      make(map[circuit.NodeID]float64, len(order)),
-		M2:      make(map[circuit.NodeID]float64, len(order)),
-		DownCap: make(map[circuit.NodeID]float64, len(order)),
 	}
 
 	// Post-order: accumulate downstream capacitance.
@@ -100,7 +119,6 @@ func Analyze(net *circuit.Netlist, driver circuit.NodeID, driveRes float64) (*An
 	}
 
 	// Post-order: weighted capacitance sums T(v) = sum_{k in subtree(v)} C_k * m1(k).
-	weighted := make(map[circuit.NodeID]float64, len(order))
 	for i := len(order) - 1; i >= 0; i-- {
 		f := order[i]
 		weighted[f.node] += capAt[f.node] * a.M1[f.node]

@@ -1,13 +1,182 @@
 package moments
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/spice"
 	"repro/internal/tech"
 )
+
+// mapAnalysis and analyzeMaps are a map-backed reference implementation of
+// Analyze: the same traversal and the same float operations, with every
+// per-node table a map.  TestAnalyzeMatchesMapOracle holds the dense
+// implementation to it bit for bit.
+type mapAnalysis struct {
+	M1, M2, DownCap map[circuit.NodeID]float64
+	TotalCap        float64
+}
+
+func analyzeMaps(net *circuit.Netlist, driver circuit.NodeID, driveRes float64) (*mapAnalysis, error) {
+	if driveRes < 0 {
+		return nil, fmt.Errorf("moments: negative drive resistance %v", driveRes)
+	}
+	adj := make(map[circuit.NodeID][]edge)
+	for _, r := range net.Resistors {
+		if r.A == circuit.Ground || r.B == circuit.Ground {
+			continue
+		}
+		adj[r.A] = append(adj[r.A], edge{to: r.B, ohms: r.Ohms})
+		adj[r.B] = append(adj[r.B], edge{to: r.A, ohms: r.Ohms})
+	}
+	capAt := make(map[circuit.NodeID]float64)
+	for _, c := range net.Caps {
+		capAt[c.Node] += c.FF
+	}
+
+	type frame struct {
+		node   circuit.NodeID
+		parent circuit.NodeID
+		ohms   float64
+	}
+	order := []frame{{node: driver, parent: driver, ohms: driveRes}}
+	seen := map[circuit.NodeID]bool{driver: true}
+	for i := 0; i < len(order); i++ {
+		f := order[i]
+		for _, e := range adj[f.node] {
+			if seen[e.to] {
+				if e.to != f.parent {
+					return nil, fmt.Errorf("moments: resistive loop detected at node %d", e.to)
+				}
+				continue
+			}
+			seen[e.to] = true
+			order = append(order, frame{node: e.to, parent: f.node, ohms: e.ohms})
+		}
+	}
+
+	a := &mapAnalysis{
+		M1:      make(map[circuit.NodeID]float64, len(order)),
+		M2:      make(map[circuit.NodeID]float64, len(order)),
+		DownCap: make(map[circuit.NodeID]float64, len(order)),
+	}
+	for i := len(order) - 1; i >= 0; i-- {
+		f := order[i]
+		a.DownCap[f.node] += capAt[f.node]
+		if i > 0 {
+			a.DownCap[f.parent] += a.DownCap[f.node]
+		}
+	}
+	a.TotalCap = a.DownCap[driver]
+	for _, f := range order {
+		if f.node == driver {
+			a.M1[driver] = driveRes * a.TotalCap
+			continue
+		}
+		a.M1[f.node] = a.M1[f.parent] + f.ohms*a.DownCap[f.node]
+	}
+	weighted := make(map[circuit.NodeID]float64, len(order))
+	for i := len(order) - 1; i >= 0; i-- {
+		f := order[i]
+		weighted[f.node] += capAt[f.node] * a.M1[f.node]
+		if i > 0 {
+			weighted[f.parent] += weighted[f.node]
+		}
+	}
+	for _, f := range order {
+		if f.node == driver {
+			a.M2[driver] = driveRes * weighted[driver]
+			continue
+		}
+		a.M2[f.node] = a.M2[f.parent] + f.ohms*weighted[f.node]
+	}
+	return a, nil
+}
+
+// randomRCNet builds a seeded random netlist around a resistive tree of 1 to
+// 60 nodes: random branching and resistances, zero to three caps per node,
+// resistors to ground, and sometimes an unreachable island that holds a
+// loop of its own.  With loop set (which needs at least two tree nodes) one
+// more resistor joins two tree nodes — a chord or a parallel resistor on a
+// tree edge — so the driven tree contains a loop.  It returns the netlist
+// and a driver picked among the tree nodes.
+func randomRCNet(rng *rand.Rand, loop bool) (*circuit.Netlist, circuit.NodeID) {
+	net := circuit.New()
+	n := 1 + rng.Intn(60)
+	if loop && n < 2 {
+		n = 2
+	}
+	nodes := []circuit.NodeID{net.AddNode("")}
+	for i := 1; i < n; i++ {
+		id := net.AddNode("")
+		net.AddResistor(nodes[rng.Intn(len(nodes))], id, rng.Float64()*200)
+		nodes = append(nodes, id)
+	}
+	for _, id := range nodes {
+		for c := rng.Intn(4); c > 0; c-- {
+			net.AddCap(id, rng.Float64()*50)
+		}
+		if rng.Intn(8) == 0 {
+			net.AddResistor(id, circuit.Ground, rng.Float64()*1e4)
+		}
+		if rng.Intn(10) == 0 {
+			net.AddResistor(circuit.Ground, id, rng.Float64()*1e4)
+		}
+	}
+	if rng.Intn(3) == 0 {
+		a, b, c := net.AddNode(""), net.AddNode(""), net.AddNode("")
+		net.AddResistor(a, b, 10)
+		net.AddResistor(b, c, 20)
+		net.AddResistor(c, a, 30)
+		net.AddCap(a, 5)
+	}
+	if loop {
+		i, j := rng.Intn(n), rng.Intn(n-1)
+		if j >= i {
+			j++
+		}
+		net.AddResistor(nodes[i], nodes[j], rng.Float64()*200)
+	}
+	return net, nodes[rng.Intn(len(nodes))]
+}
+
+// TestAnalyzeMatchesMapOracle checks the dense Analyze against the map-backed
+// oracle bit for bit — every node's M1, M2 and DownCap (zero for unreachable
+// nodes) and TotalCap — over 200 seeded random RC nets, and that a loop in
+// the driven tree is an error for both.
+func TestAnalyzeMatchesMapOracle(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		loop := seed%5 == 4
+		net, driver := randomRCNet(rng, loop)
+		driveRes := rng.Float64() * 300
+
+		want, wantErr := analyzeMaps(net, driver, driveRes)
+		got, gotErr := Analyze(net, driver, driveRes)
+		if (gotErr != nil) != loop || (wantErr != nil) != loop {
+			t.Fatalf("seed %d (loop %v): Analyze error %v, oracle error %v", seed, loop, gotErr, wantErr)
+		}
+		if loop {
+			if gotErr.Error() != wantErr.Error() {
+				t.Errorf("seed %d: error %q, oracle %q", seed, gotErr, wantErr)
+			}
+			continue
+		}
+		same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+		if !same(got.TotalCap, want.TotalCap) {
+			t.Errorf("seed %d: TotalCap %v, oracle %v", seed, got.TotalCap, want.TotalCap)
+		}
+		for id := circuit.NodeID(0); int(id) < net.NumNodes(); id++ {
+			if !same(got.M1[id], want.M1[id]) || !same(got.M2[id], want.M2[id]) || !same(got.DownCap[id], want.DownCap[id]) {
+				t.Errorf("seed %d node %d: (M1, M2, DownCap) = (%v, %v, %v), oracle (%v, %v, %v)", seed, id,
+					got.M1[id], got.M2[id], got.DownCap[id], want.M1[id], want.M2[id], want.DownCap[id])
+			}
+		}
+	}
+}
 
 func TestSinglePoleMatchesTheory(t *testing.T) {
 	// A single lumped RC: moments and metrics have exact closed forms.

@@ -34,9 +34,9 @@
 // WithParallelism fans the independent merges of each topology level out
 // across an intra-run worker pool.  Both are bit-identical to sequential
 // runs: level results are collected in pair order, and the default merge
-// router's memo cache is sharded so concurrent merges see the same numbers a
-// sequential run would.  Result marshals to JSON for service and CLI
-// interchange.
+// router's memo cache is lock-protected and holds pure functions of its key,
+// so concurrent merges see the same numbers a sequential run would.  Result
+// marshals to JSON for service and CLI interchange.
 package cts
 
 import (
@@ -298,7 +298,7 @@ type TopologyBuilder interface {
 // concurrent runs of RunBatch and across the intra-run fan-out of the level
 // scheduler (WithParallelism), and must be safe for concurrent use.  The
 // default router is constructed fresh for every run and is concurrency-safe
-// within it: its only mutable state is a sharded per-load memo cache whose
+// within it: its only mutable state is a locked per-load memo cache whose
 // entries are pure functions of the load, so parallel and sequential merges
 // produce identical trees.
 type MergeRouter interface {

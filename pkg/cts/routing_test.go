@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/charlib"
+	"repro/internal/mergeroute"
 	"repro/internal/tech"
 	"repro/pkg/cts"
 )
@@ -51,6 +52,84 @@ func TestRoutingFlatBitIdenticalToPrePR(t *testing.T) {
 			if got != flatGoldenDecks[name] {
 				t.Errorf("flat deck hash = %s, want pinned %s (wire %.6f, skew %.9f)",
 					got, flatGoldenDecks[name], res.Stats.TotalWire, res.Timing.Skew)
+			}
+		})
+	}
+}
+
+// sizedGoldens pins both routing strategies at the scale of the cold
+// synthesis benchmark: a seeded 1% move of bench.SyntheticSized(1024), run
+// with default settings and the analytic library.  result is the sha256 of
+// the Result JSON with Elapsed zeroed, deck the sha256 of the SPICE-style
+// deck, and cells the grid cells the maze router expanded for the run
+// (mergeroute.WorkStats).  The scaled r1-r3 decks above rarely place a
+// buffer mid-segment; these designs do on most merges, and that branch is
+// where the relaxation loop rebuilds its state.  As with flatGoldenDecks, a
+// change here is a determinism-contract break, not a test update; cells
+// may only move with a change to the search itself.
+var sizedGoldens = map[cts.RoutingStrategy]struct {
+	result, deck string
+	cells        uint64
+}{
+	cts.RoutingFlat: {
+		result: "df59057c43b20db1b204d08c7a214f113d6d50a089566cac9da868c7f1598915",
+		deck:   "426c5a179d45cde6cc5183869d0992acba851396ce0daf7e92e0ee90134764eb",
+		cells:  2246430,
+	},
+	// The corridor pass engages only on grids of hierMinCells and more, and
+	// on this design every corridor-routed merge lands where flat routing
+	// does: the deck matches flat, the work count does not.
+	cts.RoutingHierarchical: {
+		result: "56b9bbd6a45faaeefae9b376d707a74bdf399b1faf16907c2e212ad92167b7f6",
+		deck:   "426c5a179d45cde6cc5183869d0992acba851396ce0daf7e92e0ee90134764eb",
+		cells:  2199710,
+	},
+}
+
+// TestRoutingSizedGoldens synthesizes the 1,024-sink design with each
+// routing strategy and compares result, deck and work count with the
+// goldens above.  The work count is read as a delta of the process-wide
+// counter, which holds because no test in this package runs in parallel.
+func TestRoutingSizedGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1,024-sink synthesis per strategy; runs in the full suite")
+	}
+	tt := tech.Default()
+	lib := charlib.NewAnalytic(tt)
+	base, err := bench.SyntheticSized(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bm, err := bench.Perturb(base, "move", 0.01, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, routing := range []cts.RoutingStrategy{cts.RoutingFlat, cts.RoutingHierarchical} {
+		t.Run(routing.String(), func(t *testing.T) {
+			want := sizedGoldens[routing]
+			flow, err := cts.New(tt, cts.WithLibrary(lib), cts.WithRoutingStrategy(routing))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells0 := mergeroute.WorkStats()
+			res, err := flow.Run(context.Background(), bm.Sinks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells := mergeroute.WorkStats() - cells0
+			res.Elapsed = 0
+			js, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(js)); got != want.result {
+				t.Errorf("result JSON hash = %s, want pinned %s\n%s", got, want.result, js)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(deck(t, res, bm.Name)))); got != want.deck {
+				t.Errorf("deck hash = %s, want pinned %s", got, want.deck)
+			}
+			if cells != want.cells {
+				t.Errorf("expanded cells = %d, want pinned %d", cells, want.cells)
 			}
 		})
 	}

@@ -56,7 +56,7 @@ type correctionMergeRouter struct {
 
 // newDefaultMergeRouter builds a fresh default router; the underlying merger
 // memoizes per-load drivable lengths, so one instance serves exactly one run.
-// Within that run the merger's sharded cache makes it safe for the concurrent
+// Within that run the merger's locked cache makes it safe for the concurrent
 // Merge calls of the level scheduler (see WithParallelism).
 func (f *Flow) newDefaultMergeRouter() (MergeRouter, error) {
 	merger, err := mergeroute.New(f.cfg.tech, mergeroute.Config{

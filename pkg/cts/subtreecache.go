@@ -14,6 +14,10 @@ import (
 // The cache is purely an accelerator: a Get miss (or a value that fails to
 // decode) makes the flow recompute the merge, so implementations may drop,
 // evict or lose entries freely without affecting results.
+//
+// The flow hands Put values with no spare capacity (cap == len), so an
+// implementation that keeps the slice and budgets by len bounds the memory
+// its values actually retain.
 type SubtreeCache interface {
 	// Get returns the encoded sub-tree for the key, if present.
 	Get(key string) ([]byte, bool)
@@ -39,7 +43,10 @@ type SubtreeCacheStats struct {
 }
 
 // MemorySubtreeCache is the reference SubtreeCache: an in-memory LRU bounded
-// by a byte budget measured over the stored values.  It is safe for
+// by a byte budget measured over the stored values.  It keeps the slices Put
+// receives and budgets their len, so for exact-size values — every value the
+// flow writes is one — the budget bounds the memory the values retain;
+// per-entry map and list bookkeeping comes on top.  It is safe for
 // concurrent use.
 type MemorySubtreeCache struct {
 	mu        sync.Mutex

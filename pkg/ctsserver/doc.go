@@ -103,7 +103,8 @@
 // text exposition format 0.0.4 (Content-Type "text/plain; version=0.0.4").
 // Series are prefixed ctsd_ — admission and terminal-state counters,
 // queue depth and running-job gauges, result-/subtree-cache hit/miss/
-// eviction counters per tier, merge-arena recycling, and latency
+// eviction counters per tier, merge-arena recycling, the merge router's
+// deterministic work count (ctsd_mergeroute_cells_expanded_total), and latency
 // histograms: ctsd_job_queue_wait_seconds, ctsd_job_run_seconds and
 // ctsd_job_e2e_seconds labeled by priority (observed once per job at its
 // terminal transition; born-terminal jobs observe only e2e) plus

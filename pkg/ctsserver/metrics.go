@@ -100,13 +100,16 @@ func newServerMetrics(s *Server) *serverMetrics {
 	sm.Func(func() float64 { _, _, _, ms := subtreeCounters(); return float64(ms) })
 
 	// Synthesis aggregates from the shared observer sink, and the merge
-	// router's scratch-arena recycling (process-wide, like the pool).
+	// router's scratch-arena recycling and maze work (process-wide, like the
+	// pool).
 	r.NewCounter("ctsd_flow_reused_merges_total", "Merges served from the subtree cache across all runs.").
 		Func(func() float64 { return float64(s.metrics.Snapshot().Reused) })
 	r.NewCounter("ctsd_arena_gets_total", "Merge-router scratch workspaces acquired.").
 		Func(func() float64 { gets, _ := mergeroute.ArenaStats(); return float64(gets) })
 	r.NewCounter("ctsd_arena_allocs_total", "Scratch acquisitions that allocated instead of recycling.").
 		Func(func() float64 { _, allocs := mergeroute.ArenaStats(); return float64(allocs) })
+	r.NewCounter("ctsd_mergeroute_cells_expanded_total", "Routing-grid cells expanded by the merge router's maze search.").
+		Func(func() float64 { return float64(mergeroute.WorkStats()) })
 
 	m.queueWait = r.NewHistogram("ctsd_job_queue_wait_seconds",
 		"Admission-to-start wait per priority.", obs.LatencyBuckets, "priority")

@@ -85,6 +85,11 @@ func TestMetricsExposition(t *testing.T) {
 	if v := mustValue(t, m, "ctsd_uptime_seconds", nil); v <= 0 {
 		t.Errorf("ctsd_uptime_seconds = %v, want > 0", v)
 	}
+	// The synthesized job routed merges, so the process-wide work counter
+	// has moved; its exact value is pinned in pkg/cts's sized goldens.
+	if v := mustValue(t, m, "ctsd_mergeroute_cells_expanded_total", nil); v <= 0 {
+		t.Errorf("ctsd_mergeroute_cells_expanded_total = %v, want > 0", v)
+	}
 
 	// Both jobs were high priority: the e2e histogram saw both, queue-wait
 	// and run only the synthesized one (the hit is born terminal).

@@ -18,7 +18,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/charlib"
 	"repro/internal/clocktree"
-	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/spice"
 	"repro/internal/tech"
@@ -135,20 +134,21 @@ func BenchmarkCharacterization(b *testing.B) {
 	}
 }
 
-// synthesisBench synthesizes a scaled benchmark with the given options.
-func synthesisBench(b *testing.B, name string, maxSinks int, opt core.Options) {
+// synthesisBench synthesizes a scaled benchmark with a flow built from the
+// options.
+func synthesisBench(b *testing.B, name string, maxSinks int, opts ...cts.Option) {
 	b.Helper()
-	t := tech.Default()
 	bm, err := bench.SyntheticScaled(name, maxSinks)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if opt.Library == nil {
-		opt.Library = charlib.NewAnalytic(t)
+	flow, err := cts.New(tech.Default(), opts...)
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Synthesize(t, bm.Sinks, opt); err != nil {
+		if _, err := flow.Run(context.Background(), bm.Sinks); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -159,7 +159,7 @@ func synthesisBench(b *testing.B, name string, maxSinks int, opt core.Options) {
 func BenchmarkSynthesisScaling(b *testing.B) {
 	for _, n := range []int{32, 64, 128, 267} {
 		b.Run(benchName(n), func(b *testing.B) {
-			synthesisBench(b, "r1", n, core.Options{})
+			synthesisBench(b, "r1", n)
 		})
 	}
 }
@@ -179,7 +179,7 @@ func BenchmarkAblationGridSize(b *testing.B) {
 		grid int
 	}{{"grid_15", 15}, {"grid_45", 45}, {"grid_90", 90}} {
 		b.Run(tc.name, func(b *testing.B) {
-			synthesisBench(b, "r1", 64, core.Options{GridSize: tc.grid})
+			synthesisBench(b, "r1", 64, cts.WithGrid(tc.grid))
 		})
 	}
 }
@@ -188,10 +188,10 @@ func BenchmarkAblationGridSize(b *testing.B) {
 func BenchmarkAblationCorrection(b *testing.B) {
 	for _, tc := range []struct {
 		name string
-		mode core.CorrectionMode
-	}{{"none", core.CorrectionNone}, {"reestimate", core.CorrectionReEstimate}, {"full", core.CorrectionFull}} {
+		mode cts.Correction
+	}{{"none", cts.CorrectionNone}, {"reestimate", cts.CorrectionReEstimate}, {"full", cts.CorrectionFull}} {
 		b.Run(tc.name, func(b *testing.B) {
-			synthesisBench(b, "r1", 64, core.Options{Correction: tc.mode})
+			synthesisBench(b, "r1", 64, cts.WithCorrection(tc.mode))
 		})
 	}
 }
@@ -214,7 +214,7 @@ func BenchmarkAblationLibrary(b *testing.B) {
 		lib  *charlib.Library
 	}{{"analytic", charlib.NewAnalytic(t)}, {"characterized", characterized}} {
 		b.Run(tc.name, func(b *testing.B) {
-			synthesisBench(b, "r1", 64, core.Options{Library: tc.lib})
+			synthesisBench(b, "r1", 64, cts.WithLibrary(tc.lib))
 		})
 	}
 }
@@ -228,7 +228,11 @@ func BenchmarkTimingAnalysis(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := core.Synthesize(t, bm.Sinks, core.Options{Library: lib})
+	flow, err := cts.New(t, cts.WithLibrary(lib))
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := flow.Run(context.Background(), bm.Sinks)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -248,7 +252,11 @@ func BenchmarkTransientVerification(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := core.Synthesize(t, bm.Sinks, core.Options{})
+	flow, err := cts.New(t)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := flow.Run(context.Background(), bm.Sinks)
 	if err != nil {
 		b.Fatal(err)
 	}

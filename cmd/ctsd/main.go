@@ -20,10 +20,11 @@
 //	ctsd -gateway -addr :8155 -members http://h1:8156,http://h2:8156,http://h3:8156
 //
 // A member given -peers consults its siblings' caches on local misses before
-// synthesizing.  A -gateway process runs no synthesis at all: it
-// consistent-hashes each request's canonical key over -members, forwards the
-// job API (SSE streams included), retries refused or dead members on the
-// next ring replica, and aggregates /v1/stats and /metrics cluster-wide.
+// synthesizing.  A -gateway process runs no synthesis at all, so it loads no
+// library (-analytic and -lib are member flags): it consistent-hashes each
+// request's canonical key over -members, forwards the job API (SSE streams
+// included), retries refused or dead members on the next ring replica, and
+// aggregates /v1/stats and /metrics cluster-wide.
 //
 // With -cache-dir the result cache gains a disk tier: completed results are
 // written through to the directory (one compressed file per canonical key)
@@ -132,15 +133,13 @@ func splitList(s string) []string {
 
 // runGateway serves the cluster gateway: the same job API, consistent-hashed
 // over the member set, with aggregated /v1/stats and /metrics.
-func runGateway(t *tech.Technology, lib *charlib.Library, addr, addrFile, members string, healthIvl time.Duration, log *slog.Logger) error {
+func runGateway(addr, addrFile, members string, healthIvl time.Duration, log *slog.Logger) error {
 	list := splitList(members)
 	if len(list) == 0 {
 		return fmt.Errorf("-gateway requires -members (comma-separated member base URLs)")
 	}
 	gw, err := ctsserver.NewGateway(ctsserver.GatewayOptions{
 		Members:        list,
-		Tech:           t,
-		Library:        lib,
 		HealthInterval: healthIvl,
 		Logger:         log,
 	})
@@ -194,8 +193,8 @@ func run() error {
 		par          = flag.Int("parallelism", 0, "intra-run merge fan-out per job (0 = GOMAXPROCS)")
 		maxSinks     = flag.Int("max-sinks", 0, "per-request sink limit (0 = unlimited)")
 		retention    = flag.Int("retention", 4096, "terminal jobs kept addressable for status/replay")
-		analytic     = flag.Bool("analytic", false, "use the closed-form library instead of characterizing")
-		libPath      = flag.String("lib", "", "load a previously characterized library (JSON)")
+		analytic     = flag.Bool("analytic", false, "member: use the closed-form library instead of characterizing")
+		libPath      = flag.String("lib", "", "member: load a previously characterized library (JSON)")
 		drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "how long a drain waits before canceling jobs")
 		logLevel     = flag.String("log-level", "info", "log floor: debug, info, warn, error")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
@@ -212,17 +211,16 @@ func run() error {
 	}
 	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
+	if *gateway {
+		return runGateway(*addr, *addrFile, *members, *healthIvl, log)
+	}
+	if *members != "" {
+		return fmt.Errorf("-members requires -gateway (members run with -peers)")
+	}
 	t := tech.Default()
 	lib, err := charlib.Select(t, *analytic, *libPath)
 	if err != nil {
 		return err
-	}
-
-	if *gateway {
-		return runGateway(t, lib, *addr, *addrFile, *members, *healthIvl, log)
-	}
-	if *members != "" {
-		return fmt.Errorf("-members requires -gateway (members run with -peers)")
 	}
 
 	cacheBytes := *cacheMB << 20

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/tech"
 	"repro/pkg/cts"
 )
@@ -88,6 +87,8 @@ func TestRunBatchMatchesSequentialRuns(t *testing.T) {
 	}
 }
 
+// TestRunBatchMatchesLegacySynthesize pins RunBatch on one shared flow to
+// the one-flow-per-design runs that the legacy one-shot call made.
 func TestRunBatchMatchesLegacySynthesize(t *testing.T) {
 	tt := tech.Default()
 	items := loadScaled(t, 24)
@@ -99,15 +100,19 @@ func TestRunBatchMatchesLegacySynthesize(t *testing.T) {
 		if br.Err != nil {
 			t.Fatalf("%s: %v", br.Name, br.Err)
 		}
-		legacy, err := core.Synthesize(tt, items[i].Sinks, core.Options{})
+		single, err := cts.New(tt)
 		if err != nil {
-			t.Fatalf("%s legacy: %v", br.Name, err)
+			t.Fatal(err)
+		}
+		legacy, err := single.Run(context.Background(), items[i].Sinks)
+		if err != nil {
+			t.Fatalf("%s single run: %v", br.Name, err)
 		}
 		if br.Result.Timing.Skew != legacy.Timing.Skew ||
 			br.Result.Timing.WorstSlew != legacy.Timing.WorstSlew ||
 			br.Result.Stats.Buffers != legacy.Stats.Buffers ||
 			br.Result.Stats.TotalWire != legacy.Stats.TotalWire {
-			t.Errorf("%s: pipeline output differs from legacy core.Synthesize:\n  new: skew %v slew %v buffers %d wire %v\n  old: skew %v slew %v buffers %d wire %v",
+			t.Errorf("%s: batch output differs from a single-flow run:\n  batch:  skew %v slew %v buffers %d wire %v\n  single: skew %v slew %v buffers %d wire %v",
 				br.Name,
 				br.Result.Timing.Skew, br.Result.Timing.WorstSlew, br.Result.Stats.Buffers, br.Result.Stats.TotalWire,
 				legacy.Timing.Skew, legacy.Timing.WorstSlew, legacy.Stats.Buffers, legacy.Stats.TotalWire)

@@ -87,6 +87,52 @@ func TestNewValidation(t *testing.T) {
 	if _, err := cts.New(tt, cts.WithSlewLimit(50), cts.WithSlewTarget(90)); err == nil {
 		t.Error("expected error for target above limit")
 	}
+	// A custom stage replaces the default pairing, but the strategy value
+	// is still part of the effective settings and so still validated.
+	if _, err := cts.New(tt, cts.WithTopologyBuilder(&adjacentTopology{}), cts.WithTopologyStrategy(9)); err == nil {
+		t.Error("expected error for an unknown topology strategy beside a custom builder")
+	}
+}
+
+// TestSettingsEffective pins Effective to New: the same effective settings
+// value for value, and the same error for every rejected input.
+func TestSettingsEffective(t *testing.T) {
+	for _, s := range []cts.Settings{
+		{},
+		{SlewLimit: 140},
+		{SlewLimit: 100, SlewTarget: 60},
+		{SlewLimit: -5, SlewTarget: -1},
+		{SlewLimit: 50, SlewTarget: 90},
+		{SlewTarget: 120},
+		{Alpha: 2},
+		{Beta: 5},
+		{GridSize: -3},
+		{GridSize: 90, Correction: cts.CorrectionFull},
+		{Routing: cts.RoutingHierarchical},
+		{Routing: 7},
+		{Topology: cts.TopologyBipartition},
+		{Topology: 9},
+		{SlewTarget: 200, Routing: 7, Topology: 9},
+	} {
+		eff, effErr := s.Effective()
+		flow, newErr := cts.New(tech.Default(),
+			cts.WithSlewLimit(s.SlewLimit),
+			cts.WithSlewTarget(s.SlewTarget),
+			cts.WithCostWeights(s.Alpha, s.Beta),
+			cts.WithGrid(s.GridSize),
+			cts.WithCorrection(s.Correction),
+			cts.WithTopologyStrategy(s.Topology),
+			cts.WithRoutingStrategy(s.Routing),
+		)
+		switch {
+		case (effErr == nil) != (newErr == nil):
+			t.Errorf("%+v: Effective error %v, New error %v", s, effErr, newErr)
+		case effErr != nil && effErr.Error() != newErr.Error():
+			t.Errorf("%+v: Effective says %q, New says %q", s, effErr, newErr)
+		case effErr == nil && eff != flow.Settings():
+			t.Errorf("%+v: Effective %+v, New %+v", s, eff, flow.Settings())
+		}
+	}
 }
 
 func TestRunInputValidation(t *testing.T) {

@@ -101,8 +101,8 @@ func WithCorrection(mode Correction) Option {
 // stage: TopologyGreedy (the paper's nearest-neighbour matching, O(n log n)
 // on the spatial index and bit-identical to the brute-force reference) or
 // TopologyBipartition (recursive geometric median splits).  It has no effect
-// when a custom stage is installed with WithTopologyBuilder, which replaces
-// the default stage entirely.
+// on pairing when a custom stage is installed with WithTopologyBuilder,
+// which replaces the default stage entirely, but New still validates it.
 func WithTopologyStrategy(s TopologyStrategy) Option {
 	return func(c *config) { c.settings.Topology = s }
 }
@@ -222,9 +222,9 @@ func (f *Flow) Parallelism() int {
 	return f.cfg.parallelism
 }
 
-// New assembles a Flow for the technology, applying defaults for every
-// parameter not set by an option: 100 ps slew limit, 80% slew target,
-// alpha/beta = 1/20, grid resolution 45, no correction, analytic library.
+// New assembles a Flow for the technology, applying Settings.Effective's
+// defaults to every parameter not set by an option and the analytic library
+// when none is given.
 func New(t *tech.Technology, opts ...Option) (*Flow, error) {
 	if t == nil {
 		return nil, errors.New("cts: nil technology")
@@ -237,43 +237,22 @@ func New(t *tech.Technology, opts ...Option) (*Flow, error) {
 		opt(&c)
 	}
 
-	s := &c.settings
-	if s.SlewLimit <= 0 {
-		s.SlewLimit = 100
+	s, err := c.settings.Effective()
+	if err != nil {
+		return nil, err
 	}
-	if s.SlewTarget <= 0 {
-		s.SlewTarget = 0.8 * s.SlewLimit
-	}
-	if s.SlewTarget > s.SlewLimit {
-		return nil, fmt.Errorf("cts: slew target %v exceeds the limit %v", s.SlewTarget, s.SlewLimit)
-	}
-	if s.Alpha == 0 && s.Beta == 0 {
-		s.Alpha, s.Beta = 1, 20
-	}
-	if s.GridSize <= 0 {
-		s.GridSize = 45
-	}
+	c.settings = s
 	if c.library == nil {
 		c.library = charlib.NewAnalytic(t)
-	}
-	switch s.Routing {
-	case RoutingFlat, RoutingHierarchical:
-	default:
-		return nil, fmt.Errorf("cts: unknown routing strategy %v", s.Routing)
 	}
 	if c.subtreeCache != nil && c.merger != nil {
 		return nil, errors.New("cts: WithSubtreeCache requires the default merge-routing stage (cached sub-trees would not match a custom MergeRouter)")
 	}
 
 	if c.topology == nil {
-		var m topology.Matcher
-		switch s.Topology {
-		case TopologyGreedy:
-			m = topology.Greedy{}
-		case TopologyBipartition:
+		var m topology.Matcher = topology.Greedy{}
+		if s.Topology == TopologyBipartition {
 			m = topology.Bipartition{}
-		default:
-			return nil, fmt.Errorf("cts: unknown topology strategy %v", s.Topology)
 		}
 		c.topology = &matcherTopology{alpha: s.Alpha, beta: s.Beta, matcher: m}
 	}
@@ -291,6 +270,41 @@ func New(t *tech.Technology, opts ...Option) (*Flow, error) {
 		f.subtreePrefix = subtreeKeyPrefix(c.settings)
 	}
 	return f, nil
+}
+
+// Effective returns the settings with New's defaults applied: a 100 ps slew
+// limit, a target at 80% of the limit, alpha/beta = 1/20 when both are
+// zero and a grid resolution of 45.  It rejects a slew target above the
+// limit and unknown routing or topology strategies.  The result is what a
+// Flow runs with, what Result echoes and what CanonicalKey hashes, so any
+// layer that keys or routes a request without building a Flow calls it.
+func (s Settings) Effective() (Settings, error) {
+	if s.SlewLimit <= 0 {
+		s.SlewLimit = 100
+	}
+	if s.SlewTarget <= 0 {
+		s.SlewTarget = 0.8 * s.SlewLimit
+	}
+	if s.SlewTarget > s.SlewLimit {
+		return Settings{}, fmt.Errorf("cts: slew target %v exceeds the limit %v", s.SlewTarget, s.SlewLimit)
+	}
+	if s.Alpha == 0 && s.Beta == 0 {
+		s.Alpha, s.Beta = 1, 20
+	}
+	if s.GridSize <= 0 {
+		s.GridSize = 45
+	}
+	switch s.Routing {
+	case RoutingFlat, RoutingHierarchical:
+	default:
+		return Settings{}, fmt.Errorf("cts: unknown routing strategy %v", s.Routing)
+	}
+	switch s.Topology {
+	case TopologyGreedy, TopologyBipartition:
+	default:
+		return Settings{}, fmt.Errorf("cts: unknown topology strategy %v", s.Topology)
+	}
+	return s, nil
 }
 
 // Settings returns the effective numeric parameters after defaulting.

@@ -1,8 +1,8 @@
-package core
+package cts_test
 
 import (
+	"context"
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/charlib"
@@ -10,24 +10,30 @@ import (
 	"repro/internal/geom"
 	"repro/internal/spice"
 	"repro/internal/tech"
+	"repro/pkg/cts"
 )
 
-func randomSinks(seed int64, n int, span float64) []Sink {
-	rng := rand.New(rand.NewSource(seed))
-	sinks := make([]Sink, n)
-	for i := range sinks {
-		sinks[i] = Sink{Pos: geom.Pt(rng.Float64()*span, rng.Float64()*span)}
-	}
-	return sinks
-}
+// The paper's properties of the synthesized tree, checked through the
+// public flow: slew under the limit in library timing and in simulation,
+// buffering that tracks the limit, and skew that stays a small fraction of
+// the latency.
 
-func TestSynthesizeSmallBenchmark(t *testing.T) {
-	tt := tech.Default()
-	sinks := randomSinks(1, 24, 8000)
-	res, err := Synthesize(tt, sinks, Options{})
+// synthesize runs a default-technology flow over the sinks.
+func synthesize(t *testing.T, sinks []cts.Sink, opts ...cts.Option) *cts.Result {
+	t.Helper()
+	flow, err := cts.New(tech.Default(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := flow.Run(context.Background(), sinks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestRunSmallBenchmark(t *testing.T) {
+	res := synthesize(t, randomSinks(1, 24, 8000))
 	if err := res.Tree.Validate(); err != nil {
 		t.Fatalf("invalid tree: %v", err)
 	}
@@ -37,8 +43,8 @@ func TestSynthesizeSmallBenchmark(t *testing.T) {
 	if res.Stats.Buffers == 0 {
 		t.Error("expected buffer insertion on an 8 mm die")
 	}
-	if res.Timing.WorstSlew > res.Options.SlewLimit {
-		t.Errorf("library-estimated worst slew %v exceeds the limit %v", res.Timing.WorstSlew, res.Options.SlewLimit)
+	if res.Timing.WorstSlew > res.Settings.SlewLimit {
+		t.Errorf("library-estimated worst slew %v exceeds the limit %v", res.Timing.WorstSlew, res.Settings.SlewLimit)
 	}
 	if res.Timing.Skew <= 0 || res.Timing.Skew > 0.25*res.Timing.MaxLatency {
 		t.Errorf("skew %v ps should be positive and well below the latency %v ps", res.Timing.Skew, res.Timing.MaxLatency)
@@ -52,18 +58,13 @@ func TestSynthesizedTreeMeetsSlewInSimulation(t *testing.T) {
 	// The headline claim of Table 5.1/5.2: the simulated worst slew of the
 	// synthesized tree stays within the 100 ps limit, and the skew remains a
 	// small fraction of the latency.
-	tt := tech.Default()
-	sinks := randomSinks(7, 20, 10000)
-	res, err := Synthesize(tt, sinks, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := synthesize(t, randomSinks(7, 20, 10000))
 	vr, err := res.Verify(&spice.Options{TimeStep: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vr.WorstSlew > res.Options.SlewLimit {
-		t.Errorf("simulated worst slew %v ps exceeds the %v ps limit", vr.WorstSlew, res.Options.SlewLimit)
+	if vr.WorstSlew > res.Settings.SlewLimit {
+		t.Errorf("simulated worst slew %v ps exceeds the %v ps limit", vr.WorstSlew, res.Settings.SlewLimit)
 	}
 	if vr.Skew > 0.35*vr.MaxLatency {
 		t.Errorf("simulated skew %v ps is too large a fraction of latency %v ps", vr.Skew, vr.MaxLatency)
@@ -71,15 +72,9 @@ func TestSynthesizedTreeMeetsSlewInSimulation(t *testing.T) {
 }
 
 func TestAggressiveInsertionBeatsMergeNodeOnlyOnSlew(t *testing.T) {
-	// Compare against the restricted baseline in the same simulator: on a
-	// large die the merge-node-only policy violates the slew limit while the
-	// aggressive policy holds it (the paper's core argument).
-	tt := tech.Default()
-	sinks := randomSinks(13, 16, 14000)
-	res, err := Synthesize(tt, sinks, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// On a large die the merge-node-only policy violates the slew limit
+	// while the aggressive policy holds it (the paper's core argument).
+	res := synthesize(t, randomSinks(13, 16, 14000))
 	vr, err := res.Verify(&spice.Options{TimeStep: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -90,20 +85,12 @@ func TestAggressiveInsertionBeatsMergeNodeOnlyOnSlew(t *testing.T) {
 }
 
 func TestCorrectionModesRunAndReport(t *testing.T) {
-	tt := tech.Default()
 	sinks := randomSinks(3, 16, 6000)
-	base, err := Synthesize(tt, sinks, Options{Correction: CorrectionNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Flippings != 0 {
+	if base := synthesize(t, sinks, cts.WithCorrection(cts.CorrectionNone)); base.Flippings != 0 {
 		t.Errorf("no-correction run reported %d flippings", base.Flippings)
 	}
-	for _, mode := range []CorrectionMode{CorrectionReEstimate, CorrectionFull} {
-		res, err := Synthesize(tt, sinks, Options{Correction: mode})
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
+	for _, mode := range []cts.Correction{cts.CorrectionReEstimate, cts.CorrectionFull} {
+		res := synthesize(t, sinks, cts.WithCorrection(mode))
 		if err := res.Tree.Validate(); err != nil {
 			t.Fatalf("%v: invalid tree: %v", mode, err)
 		}
@@ -119,14 +106,9 @@ func TestCorrectionModesRunAndReport(t *testing.T) {
 	}
 }
 
-func TestSynthesizeWithExplicitSource(t *testing.T) {
-	tt := tech.Default()
+func TestRunWithExplicitSource(t *testing.T) {
 	src := geom.Pt(0, 0)
-	sinks := randomSinks(5, 8, 5000)
-	res, err := Synthesize(tt, sinks, Options{SourcePos: &src})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := synthesize(t, randomSinks(5, 8, 5000), cts.WithSource(src))
 	if res.Tree.Root.Pos != src {
 		t.Errorf("source at %v, want %v", res.Tree.Root.Pos, src)
 	}
@@ -135,32 +117,10 @@ func TestSynthesizeWithExplicitSource(t *testing.T) {
 	}
 }
 
-func TestSynthesizeErrors(t *testing.T) {
-	tt := tech.Default()
-	if _, err := Synthesize(tt, nil, Options{}); err == nil {
-		t.Error("expected error for empty sinks")
-	}
-	dup := []Sink{{Name: "x", Pos: geom.Pt(0, 0)}, {Name: "x", Pos: geom.Pt(10, 10)}}
-	if _, err := Synthesize(tt, dup, Options{}); err == nil {
-		t.Error("expected error for duplicate sink names")
-	}
-	if _, err := Synthesize(tt, randomSinks(1, 4, 100), Options{SlewLimit: 50, SlewTarget: 90}); err == nil {
-		t.Error("expected error for target above limit")
-	}
-	bad := tech.Default()
-	bad.UnitCap = 0
-	if _, err := Synthesize(bad, randomSinks(1, 4, 100), Options{}); err == nil {
-		t.Error("expected error for invalid technology")
-	}
-}
-
 func TestTwoSinksAndDefaults(t *testing.T) {
 	tt := tech.Default()
-	sinks := []Sink{{Pos: geom.Pt(0, 0)}, {Pos: geom.Pt(2500, 1500)}}
-	res, err := Synthesize(tt, sinks, Options{Library: charlib.NewAnalytic(tt)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sinks := []cts.Sink{{Pos: geom.Pt(0, 0)}, {Pos: geom.Pt(2500, 1500)}}
+	res := synthesize(t, sinks, cts.WithLibrary(charlib.NewAnalytic(tt)))
 	if res.Stats.Sinks != 2 || res.Levels != 1 {
 		t.Errorf("stats = %+v levels = %d", res.Stats, res.Levels)
 	}
@@ -176,16 +136,9 @@ func TestTwoSinksAndDefaults(t *testing.T) {
 }
 
 func TestTightSlewLimitInsertsMoreBuffers(t *testing.T) {
-	tt := tech.Default()
 	sinks := randomSinks(17, 12, 9000)
-	loose, err := Synthesize(tt, sinks, Options{SlewLimit: 140})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tight, err := Synthesize(tt, sinks, Options{SlewLimit: 70})
-	if err != nil {
-		t.Fatal(err)
-	}
+	loose := synthesize(t, sinks, cts.WithSlewLimit(140))
+	tight := synthesize(t, sinks, cts.WithSlewLimit(70))
 	if tight.Stats.Buffers <= loose.Stats.Buffers {
 		t.Errorf("tight limit used %d buffers, loose used %d; expected more buffers under the tighter limit",
 			tight.Stats.Buffers, loose.Stats.Buffers)
@@ -196,12 +149,8 @@ func TestTightSlewLimitInsertsMoreBuffers(t *testing.T) {
 }
 
 func TestSkewScalesReasonablyWithSinkCount(t *testing.T) {
-	tt := tech.Default()
 	for _, n := range []int{8, 32} {
-		res, err := Synthesize(tt, randomSinks(int64(n), n, 8000), Options{})
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
+		res := synthesize(t, randomSinks(int64(n), n, 8000))
 		if res.Timing.Skew > 0.2*res.Timing.MaxLatency+5 {
 			t.Errorf("n=%d: skew %v vs latency %v", n, res.Timing.Skew, res.Timing.MaxLatency)
 		}

@@ -63,9 +63,9 @@ func (e Event) Wire() WireEvent {
 // (names, positions and capacitances at full float64 precision, in order).
 // Two requests share a key exactly when a deterministic Flow would produce
 // the identical Result for them, which is what makes the key usable as a
-// result-cache address.  Pass the settings a Flow reports after defaulting
-// (Flow.Settings()), so that a request spelling out the defaults and one
-// leaving them zero hash identically.
+// result-cache address.  Pass effective settings (Settings.Effective, or
+// what a Flow reports in Flow.Settings()), so that a request spelling out
+// the defaults and one leaving them zero hash identically.
 func CanonicalKey(s Settings, sinks []Sink) string {
 	h := sha256.New()
 	// Struct fields marshal in declaration order, so the settings JSON is a

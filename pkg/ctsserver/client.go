@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -71,7 +72,9 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	return json.Unmarshal(data, out)
 }
 
-func decodeAPIError(status int, data []byte) error {
+// decodeAPIError decodes a non-2xx answer's error envelope, falling back to
+// a bad-request error quoting the body when it carries none.
+func decodeAPIError(status int, data []byte) *APIError {
 	var eb errorBody
 	if err := json.Unmarshal(data, &eb); err == nil && eb.Error != nil {
 		eb.Error.HTTPStatus = status
@@ -188,41 +191,35 @@ func (c *Client) Stream(ctx context.Context, id string, onEvent func(cts.WireEve
 }
 
 // readSSE parses a Server-Sent Events stream, invoking fn for every
-// dispatched event.  It understands the subset the server emits: "id",
-// "event" and single-line "data" fields separated by blank lines.  Lines are
-// read without a length cap: the terminal "done" event carries the whole
-// Result JSON on one data line, which for very large sink sets runs to many
-// megabytes.
+// dispatched event.  It understands the subset writeEvent emits: "id",
+// "event" and single-line "data" fields, an event ending at a blank line.
+// An event cut off by the end of the stream is dropped, not dispatched.  A
+// line may be at most maxRequestBytes long: the longest line is the "done"
+// event's status with the whole Result, about 1 KB even for 4,096 sinks.
 func readSSE(r io.Reader, fn func(event string, data []byte) error) error {
-	br := bufio.NewReader(r)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, maxRequestBytes)
 	var event string
 	var data []byte
-	flush := func() error {
-		if event == "" && data == nil {
-			return nil
-		}
-		err := fn(event, data)
-		event, data = "", nil
-		return err
-	}
-	for {
-		line, err := br.ReadString('\n')
-		line = strings.TrimRight(line, "\r\n")
+	for sc.Scan() {
+		line := sc.Text()
 		switch {
 		case line == "":
-			if ferr := flush(); ferr != nil {
-				return ferr
+			if event == "" && data == nil {
+				continue
 			}
+			if err := fn(event, data); err != nil {
+				return err
+			}
+			event, data = "", nil
 		case strings.HasPrefix(line, "event:"):
 			event = strings.TrimSpace(strings.TrimPrefix(line, "event:"))
 		case strings.HasPrefix(line, "data:"):
 			data = append(data, strings.TrimSpace(strings.TrimPrefix(line, "data:"))...)
 		}
-		if err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return flush()
-			}
-			return err
-		}
 	}
+	if err := sc.Err(); err != nil && !errors.Is(err, io.ErrUnexpectedEOF) {
+		return err
+	}
+	return nil
 }

@@ -102,10 +102,7 @@ func New(t testing.TB, opts Options) *Cluster {
 
 	gw, err := ctsserver.NewGateway(ctsserver.GatewayOptions{
 		Members:        urls,
-		Tech:           tc,
-		Library:        lib,
 		HealthInterval: opts.HealthInterval,
-		RequestTimeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

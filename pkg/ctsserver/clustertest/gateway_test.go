@@ -15,7 +15,7 @@ import (
 	"repro/pkg/ctsserver"
 )
 
-// rawCall issues one request and returns the status, headers and body, for
+// rawCall sends one request and returns the status, headers and body, for
 // assertions on what the typed Client does not expose.
 func rawCall(t *testing.T, method, url string, body []byte) (int, http.Header, []byte) {
 	t.Helper()
@@ -441,5 +441,42 @@ func TestGatewayKeyAgreement(t *testing.T) {
 	}
 	for _, id := range ids {
 		waitTerminal(t, c.Client, id)
+	}
+}
+
+// TestGatewayAffinityMemberForgotBase covers a base whose member is alive
+// but has dropped the base from its retention: the member answers 404
+// unknown-base-job, and the delta must run as a plain ring-routed request
+// instead of failing with an error that names the member's own job id.
+func TestGatewayAffinityMemberForgotBase(t *testing.T) {
+	c := New(t, Options{Server: func(_ int, o *ctsserver.Options) { o.JobRetention = 1 }})
+	ctx := context.Background()
+
+	base := scaledRequest(t, 32)
+	st, err := c.Client.Submit(ctx, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, c.Client, st.ID)
+	// One more finished job on the base's member pushes the base out.
+	owner := c.MemberAt(c.Gateway.MemberFor(st.Key))
+	other, err := owner.Client.Submit(ctx, scaledRequest(t, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, owner.Client, other.ID)
+
+	delta := moved(base, 3, 40, 0)
+	delta.BaseJob = st.ID
+	dst, err := c.Client.Submit(ctx, delta)
+	if err != nil {
+		t.Fatalf("delta after the base's member forgot the base: %v", err)
+	}
+	final := waitTerminal(t, c.Client, dst.ID)
+	if final.State != ctsserver.StateDone || final.BaseJob != st.ID {
+		t.Fatalf("plain fallback: %+v", final)
+	}
+	if want := plainKey(t, delta); final.Key != want {
+		t.Fatalf("plain fallback key %s, want the plain request's %s", final.Key, want)
 	}
 }

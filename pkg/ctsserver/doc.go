@@ -215,10 +215,17 @@
 // -members=...), which serves the same wire contract above — clients need
 // no changes — and routes each job by consistent-hashing its canonical
 // request key over the member set.  The gateway computes the key itself
-// (members must share tech and library, so keys agree), so every job for
-// the same design lands on the same member and its caches concentrate
-// instead of fragmenting.  The gateway mints its own job ids; the member's
-// ids never leak (statuses, traces and SSE done events are rewritten).
+// with the function members cache on, so every job for the same design
+// lands on the same member and its caches concentrate instead of
+// fragmenting.  The key covers neither technology nor library, so the
+// gateway needs neither; members should still share both, because that is
+// what makes one member's result interchangeable with another's.  The
+// gateway mints its own job ids; the member's ids never leak (statuses,
+// traces and SSE done events are rewritten).  An incremental request's
+// baseJob is a gateway id: the request goes to the member that ran the
+// base, where the subtree cache is warm, and when that member is down,
+// refuses, or has forgotten the base, it runs as a plain ring-routed
+// request instead (the same result, computed cold).
 //
 // Three response/request headers expose the routing:
 //

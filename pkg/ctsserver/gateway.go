@@ -1,23 +1,21 @@
 package ctsserver
 
 import (
-	"bufio"
 	"bytes"
+	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"crypto/rand"
-	"repro/internal/charlib"
 	"repro/internal/obs"
-	"repro/internal/tech"
 	"repro/pkg/cts"
 )
 
@@ -40,10 +38,16 @@ const (
 // error per submission) short.
 const defaultHealthInterval = time.Second
 
-// defaultGatewayTimeout bounds one forwarded non-streaming request.  Members
+// gatewayTimeout bounds one forwarded non-streaming request.  Members
 // answer submissions asynchronously (202 + job id), so every forwarded call
 // is queue bookkeeping, not synthesis; anything slower is effectively down.
-const defaultGatewayTimeout = 15 * time.Second
+// Event streams are never subject to it.
+const gatewayTimeout = 15 * time.Second
+
+// gatewayJobRetention bounds how many jobs the gateway remembers; the oldest
+// are forgotten beyond it, as a member forgets its own (Options.JobRetention
+// defaults to the same count).
+const gatewayJobRetention = 4096
 
 // gatewayEventAttempts bounds how many member streams one client SSE
 // subscription will chain through: the initial stream plus a reconnect per
@@ -52,28 +56,15 @@ const defaultGatewayTimeout = 15 * time.Second
 // client falls back to polling GET.
 const gatewayEventAttempts = 8
 
-// GatewayOptions configures a Gateway.
+// GatewayOptions configures a Gateway.  The gateway needs no technology or
+// library: it keys each request with the same function members cache on, and
+// CanonicalKey covers neither.
 type GatewayOptions struct {
 	// Members are the ctsd base URLs the gateway routes over; required,
 	// order-insensitive (the ring sorts them).
 	Members []string
-	// Tech and Library must match what the members run (the gateway computes
-	// the same canonical keys the members do, which assumes a homogeneous
-	// cluster); nil selects the same defaults Server does.
-	Tech *tech.Technology
-	// Library is the delay/slew library used for key computation; nil
-	// selects the analytic closed-form library for Tech.
-	Library *charlib.Library
-	// VirtualNodes is the per-member ring point count (<= 0 selects 200).
-	VirtualNodes int
 	// HealthInterval is the member probe period (<= 0 selects 1s).
 	HealthInterval time.Duration
-	// RequestTimeout bounds one forwarded non-streaming request (<= 0
-	// selects 15s).  Event streams are never subject to it.
-	RequestTimeout time.Duration
-	// JobRetention bounds how many jobs the gateway remembers (oldest
-	// forgotten beyond it; <= 0 selects 4096).
-	JobRetention int
 	// Logger receives structured routing logs; nil discards them.
 	Logger *slog.Logger
 }
@@ -86,16 +77,14 @@ type GatewayOptions struct {
 // so a finished job survives its member's death.  See doc.go ("Cluster
 // mode") for the wire contract.
 type Gateway struct {
-	opts    GatewayOptions
-	ring    *ring
-	tech    *tech.Technology
-	library *charlib.Library
-	client  *http.Client // forwarded requests (bounded by RequestTimeout)
-	stream  *http.Client // SSE proxying (no timeout)
-	mux     *http.ServeMux
-	log     *slog.Logger
-	start   time.Time
-	reg     *obs.Registry
+	opts   GatewayOptions
+	ring   *ring
+	client *http.Client // forwarded requests (bounded by gatewayTimeout)
+	stream *http.Client // SSE proxying (no timeout)
+	mux    *http.ServeMux
+	log    *slog.Logger
+	start  time.Time
+	reg    *obs.Registry
 
 	submitted atomic.Int64
 	rerouted  atomic.Int64
@@ -134,13 +123,6 @@ func (j *gwJob) placement() (member, memberID string) {
 	return j.member, j.memberID
 }
 
-// place records the member that accepted the job.
-func (j *gwJob) place(member, memberID string) {
-	j.mu.Lock()
-	j.member, j.memberID = member, memberID
-	j.mu.Unlock()
-}
-
 // terminalStatus returns the frozen terminal status, if any.
 func (j *gwJob) terminalStatus() *JobStatus {
 	j.mu.Lock()
@@ -148,39 +130,28 @@ func (j *gwJob) terminalStatus() *JobStatus {
 	return j.terminal
 }
 
-// freeze records a terminal status exactly once (first writer wins, so a
-// status learned over GET and one learned over the event stream agree).
-func (j *gwJob) freeze(st *JobStatus) {
+// adopt takes a member's status of the job into the gateway: a non-empty
+// member records that the job now runs there under the status's id, the
+// status is translated into the gateway namespace, and a terminal status is
+// frozen exactly once (first writer wins, so a status learned over GET and
+// one learned over the event stream agree).
+func (j *gwJob) adopt(member string, st *JobStatus) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
+	if member != "" {
+		j.member, j.memberID = member, st.ID
+	}
+	st.ID, st.BaseJob = j.id, j.baseID
 	if j.terminal == nil && st.State.Terminal() {
 		j.terminal = st
 	}
-	j.mu.Unlock()
 }
 
 // NewGateway assembles a Gateway over the member set and starts its health
 // checker.  Close releases the checker.
 func NewGateway(o GatewayOptions) (*Gateway, error) {
-	if len(o.Members) == 0 {
-		return nil, fmt.Errorf("ctsserver: gateway needs at least one member")
-	}
-	if o.Tech == nil {
-		o.Tech = tech.Default()
-	}
-	if err := o.Tech.Validate(); err != nil {
-		return nil, err
-	}
-	if o.Library == nil {
-		o.Library = charlib.NewAnalytic(o.Tech)
-	}
 	if o.HealthInterval <= 0 {
 		o.HealthInterval = defaultHealthInterval
-	}
-	if o.RequestTimeout <= 0 {
-		o.RequestTimeout = defaultGatewayTimeout
-	}
-	if o.JobRetention <= 0 {
-		o.JobRetention = 4096
 	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.DiscardHandler)
@@ -191,7 +162,7 @@ func NewGateway(o GatewayOptions) (*Gateway, error) {
 			members = append(members, m)
 		}
 	}
-	r := newRing(members, o.VirtualNodes)
+	r := newRing(members)
 	if len(r.members) == 0 {
 		return nil, fmt.Errorf("ctsserver: gateway needs at least one member")
 	}
@@ -202,9 +173,7 @@ func NewGateway(o GatewayOptions) (*Gateway, error) {
 	g := &Gateway{
 		opts:     o,
 		ring:     r,
-		tech:     o.Tech,
-		library:  o.Library,
-		client:   &http.Client{Timeout: o.RequestTimeout},
+		client:   &http.Client{Timeout: gatewayTimeout},
 		stream:   &http.Client{},
 		log:      o.Logger,
 		start:    time.Now(),
@@ -248,13 +217,6 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) Close() {
 	g.stopOnce.Do(func() { close(g.stop) })
 	<-g.done
-}
-
-// Members returns the sorted member identities of the ring.
-func (g *Gateway) Members() []string {
-	out := make([]string, len(g.ring.members))
-	copy(out, g.ring.members)
-	return out
 }
 
 // MemberFor returns the ring owner of a canonical key (testing and
@@ -308,26 +270,34 @@ func (g *Gateway) healthLoop() {
 	}
 }
 
-// probeMembers checks every member's /healthz concurrently and records the
-// verdicts.  A draining member answers 503 and is treated as down for new
-// dispatch (its running jobs still finish and stay addressable).
-func (g *Gateway) probeMembers() {
+// fanOut calls fn for every member concurrently and returns once every call
+// has.
+func (g *Gateway) fanOut(fn func(i int, member string)) {
 	var wg sync.WaitGroup
-	verdicts := make([]bool, len(g.ring.members))
 	for i, m := range g.ring.members {
 		wg.Add(1)
-		go func(i int, m string) {
+		go func() {
 			defer wg.Done()
-			resp, err := g.client.Get(m + "/healthz")
-			if err != nil {
-				return
-			}
-			io.Copy(io.Discard, resp.Body) //nolint:errcheck
-			resp.Body.Close()
-			verdicts[i] = resp.StatusCode == http.StatusOK
-		}(i, m)
+			fn(i, m)
+		}()
 	}
 	wg.Wait()
+}
+
+// probeMembers checks every member's /healthz and records the verdicts.  A
+// draining member answers 503 and is treated as down for new dispatch (its
+// running jobs still finish and stay addressable).
+func (g *Gateway) probeMembers() {
+	verdicts := make([]bool, len(g.ring.members))
+	g.fanOut(func(i int, m string) {
+		resp, err := g.client.Get(m + "/healthz")
+		if err != nil {
+			return
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		verdicts[i] = resp.StatusCode == http.StatusOK
+	})
 	g.mu.Lock()
 	for i, m := range g.ring.members {
 		g.health[m] = verdicts[i]
@@ -350,182 +320,128 @@ func (g *Gateway) markDown(member string) {
 	g.mu.Unlock()
 }
 
-// healthyCount counts members currently believed up.
-func (g *Gateway) healthyCount() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	n := 0
-	for _, up := range g.health {
-		if up {
-			n++
-		}
-	}
-	return n
-}
-
-// newGatewayJobID mints a gateway-unique job id (distinct namespace from
-// member ids, so a leaked member id can never collide).
-func (g *Gateway) newGatewayJobID() string {
-	return fmt.Sprintf("gwjob-%s-%d", g.idPrefix, g.idCtr.Add(1))
-}
-
 // register remembers a job, forgetting the oldest beyond retention.
 func (g *Gateway) register(j *gwJob) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.jobs[j.id] = j
 	g.order = append(g.order, j.id)
-	for len(g.order) > g.opts.JobRetention {
+	for len(g.order) > gatewayJobRetention {
 		old := g.order[0]
 		g.order = g.order[1:]
 		delete(g.jobs, old)
 	}
 }
 
-// lookup resolves a gateway job id.
-func (g *Gateway) lookup(id string) (*gwJob, bool) {
+// job resolves the {id} of a job route, answering 404 when the gateway does
+// not remember it.
+func (g *Gateway) job(w http.ResponseWriter, r *http.Request) (*gwJob, bool) {
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	j, ok := g.jobs[id]
+	j, ok := g.jobs[r.PathValue("id")]
+	g.mu.Unlock()
+	if !ok {
+		writeNotFound(w, r)
+	}
 	return j, ok
 }
 
-// requestKey computes the member-identical canonical key of a request: the
-// same effective-settings normalization Server.buildFlow applies, minus the
-// per-run plumbing (observer, parallelism, subtree cache — none of which
-// participate in the key).  This is where the homogeneous-cluster assumption
-// lives: gateway and members must agree on technology and library.
-func (g *Gateway) requestKey(req JobRequest, sinks []cts.Sink) (string, error) {
-	var set cts.Settings
-	if req.Settings != nil {
-		set = *req.Settings
-	}
-	flow, err := cts.New(g.tech,
-		cts.WithLibrary(g.library),
-		cts.WithSlewLimit(set.SlewLimit),
-		cts.WithSlewTarget(set.SlewTarget),
-		cts.WithCostWeights(set.Alpha, set.Beta),
-		cts.WithGrid(set.GridSize),
-		cts.WithCorrection(set.Correction),
-		cts.WithTopologyStrategy(set.Topology),
-		cts.WithRoutingStrategy(set.Routing),
-	)
+// call is the gateway's one exchange with a member: it sends the request,
+// reads the answer under maxRequestBytes and decodes a 2xx body into out.
+// It returns the member's HTTP status (0 when no answer arrived) and, on
+// failure, the error to answer with: a transport or read failure marks the
+// member down and is a 503 member-unreachable, a non-2xx answer is the
+// member's own error, and an undecodable 2xx body is a 502
+// member-unreachable.
+func (g *Gateway) call(method, member, path string, header http.Header, body []byte, out any) (int, *APIError) {
+	req, err := http.NewRequest(method, member+path, bytes.NewReader(body))
 	if err != nil {
-		return "", err
+		return 0, &APIError{HTTPStatus: http.StatusBadGateway, Code: ErrMemberUnreachable,
+			Message: fmt.Sprintf("member %s: %v", member, err)}
 	}
-	key := cts.CanonicalKey(flow.Settings(), sinks)
-	if req.Verify {
-		key += "+verify"
+	if header != nil {
+		req.Header = header
 	}
-	return key, nil
+	resp, err := g.client.Do(req)
+	var data []byte
+	if err == nil {
+		data, err = io.ReadAll(io.LimitReader(resp.Body, maxRequestBytes))
+		resp.Body.Close()
+	}
+	if err != nil {
+		g.markDown(member)
+		g.log.Warn("member unreachable", "member", member, "path", path, "error", err)
+		return 0, &APIError{HTTPStatus: http.StatusServiceUnavailable, Code: ErrMemberUnreachable,
+			Message: fmt.Sprintf("member %s unreachable: %v", member, err), RetryAfter: retryAfterSeconds}
+	}
+	if resp.StatusCode/100 != 2 {
+		return resp.StatusCode, decodeAPIError(resp.StatusCode, data)
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		return resp.StatusCode, &APIError{HTTPStatus: http.StatusBadGateway, Code: ErrMemberUnreachable,
+			Message: fmt.Sprintf("member %s: undecodable answer to %s %s: %v", member, method, path, err)}
+	}
+	return resp.StatusCode, nil
 }
 
-// rewrite translates a member's JobStatus into the gateway's namespace.
-func (j *gwJob) rewrite(st *JobStatus) {
-	st.ID = j.id
-	st.BaseJob = j.baseID
-}
-
-// candidates builds the dispatch preference order for a job: an optional
-// affinity member first, then the key's ring replicas, healthy members only,
-// deduplicated.
-func (g *Gateway) candidates(key, preferred string) []string {
-	out := make([]string, 0, len(g.ring.members)+1)
-	seen := map[string]bool{}
-	add := func(m string) {
-		if m != "" && !seen[m] && g.isHealthy(m) {
-			seen[m] = true
+// candidates lists the key's ring replicas currently believed up, in
+// dispatch order.
+func (g *Gateway) candidates(key string) []string {
+	out := make([]string, 0, len(g.ring.members))
+	for _, m := range g.ring.replicas(key) {
+		if g.isHealthy(m) {
 			out = append(out, m)
 		}
-	}
-	add(preferred)
-	for _, m := range g.ring.replicas(key) {
-		add(m)
 	}
 	return out
 }
 
-// forwardSubmit POSTs the job body to one member.  Outcomes:
-//
-//   - accepted (200/202): the job is placed, the member's status rewritten
-//     into the gateway namespace and returned with the member's HTTP code;
-//   - refused (429, 503, or any 5xx): nil status, nil error — the caller
-//     tries the next replica (the member is alive, just unwilling);
-//   - transport failure: same as refused, but the member is marked down;
-//   - any other 4xx: the member's error verbatim — rerouting cannot fix a
-//     bad request.
-func (g *Gateway) forwardSubmit(j *gwJob, body []byte, member string, attempt int) (*JobStatus, int, *APIError, bool) {
-	req, err := http.NewRequest(http.MethodPost, member+"/v1/jobs", bytes.NewReader(body))
+// refused reports whether a member's answer to a submission leaves the job
+// to the next replica: no answer (0), backpressure (429) or drain and
+// failure (5xx).  Any other 4xx is the request's own fault, which no
+// replica would fix.
+func refused(code int) bool {
+	return code == 0 || code == http.StatusTooManyRequests || code >= 500
+}
+
+// forwardSubmit POSTs a job body to one member.  On acceptance (200/202) the
+// job is adopted there and the status comes back in the gateway namespace
+// with the member's HTTP code; otherwise the member's code (0 when it could
+// not be reached) and the error come back for the caller to judge.
+func (g *Gateway) forwardSubmit(j *gwJob, body []byte, member string, attempt int) (*JobStatus, int, *APIError) {
+	var st JobStatus
+	code, err := g.call(http.MethodPost, member, "/v1/jobs", http.Header{
+		"Content-Type":     {"application/json"},
+		HeaderRouteKey:     {j.key},
+		HeaderRouteAttempt: {strconv.Itoa(attempt)},
+	}, body, &st)
 	if err != nil {
-		return nil, 0, &APIError{HTTPStatus: http.StatusInternalServerError, Code: ErrBadRequest, Message: err.Error()}, false
+		return nil, code, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(HeaderRouteKey, j.key)
-	req.Header.Set(HeaderRouteAttempt, fmt.Sprint(attempt))
-	resp, err := g.client.Do(req)
-	if err != nil {
-		g.markDown(member)
-		g.log.Warn("member unreachable", "member", member, "key", j.key, "error", err)
-		return nil, 0, nil, true
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxRequestBytes))
-	if err != nil {
-		g.markDown(member)
-		return nil, 0, nil, true
-	}
-	switch {
-	case resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted:
-		var st JobStatus
-		if err := json.Unmarshal(data, &st); err != nil {
-			return nil, 0, &APIError{HTTPStatus: http.StatusBadGateway, Code: ErrMemberUnreachable,
-				Message: fmt.Sprintf("member %s: undecodable status: %v", member, err)}, false
-		}
-		j.place(member, st.ID)
-		j.rewrite(&st)
-		j.freeze(&st)
-		return &st, resp.StatusCode, nil, false
-	case resp.StatusCode == http.StatusTooManyRequests ||
-		resp.StatusCode == http.StatusServiceUnavailable ||
-		resp.StatusCode >= 500:
-		// Backpressure or drain: this member refuses, another may accept.
-		return nil, 0, nil, true
-	default:
-		var body errorBody
-		if err := json.Unmarshal(data, &body); err == nil && body.Error != nil {
-			body.Error.HTTPStatus = resp.StatusCode
-			return nil, 0, body.Error, false
-		}
-		return nil, 0, &APIError{HTTPStatus: resp.StatusCode, Code: ErrBadRequest,
-			Message: fmt.Sprintf("member %s answered %d", member, resp.StatusCode)}, false
-	}
+	j.adopt(member, &st)
+	return &st, code, nil
 }
 
 // dispatch walks the job's candidate members until one accepts, counting a
 // reroute whenever the job lands anywhere but the first candidate.  It
 // returns the accepted status (gateway namespace) plus the member's HTTP
 // code, or the terminal APIError.
-func (g *Gateway) dispatch(j *gwJob, preferred string) (*JobStatus, int, *APIError) {
-	cands := g.candidates(j.key, preferred)
-	if len(cands) == 0 {
-		return nil, 0, &APIError{HTTPStatus: http.StatusServiceUnavailable, Code: ErrMemberUnreachable,
-			Message: "no healthy cluster member", RetryAfter: retryAfterSeconds}
-	}
+func (g *Gateway) dispatch(j *gwJob) (*JobStatus, int, *APIError) {
+	cands := g.candidates(j.key)
 	for i, m := range cands {
-		st, code, apiErr, retry := g.forwardSubmit(j, j.body, m, i+1)
-		if st != nil {
+		st, code, err := g.forwardSubmit(j, j.body, m, i+1)
+		if err == nil {
 			if i > 0 {
 				g.rerouted.Add(1)
 				g.log.Info("job rerouted", "job", j.id, "key", j.key, "member", m, "attempt", i+1)
 			}
 			return st, code, nil
 		}
-		if !retry {
-			return nil, 0, apiErr
+		if !refused(code) {
+			return nil, 0, err
 		}
 	}
 	return nil, 0, &APIError{HTTPStatus: http.StatusServiceUnavailable, Code: ErrMemberUnreachable,
-		Message:    fmt.Sprintf("all %d candidate members refused or are unreachable", len(cands)),
+		Message:    fmt.Sprintf("no cluster member accepted the job (%d healthy candidates)", len(cands)),
 		RetryAfter: retryAfterSeconds}
 }
 
@@ -536,9 +452,9 @@ func (g *Gateway) redispatch(j *gwJob) bool {
 	if j.terminalStatus() != nil {
 		return true
 	}
-	st, _, apiErr := g.dispatch(j, "")
-	if apiErr != nil {
-		g.log.Warn("redispatch failed", "job", j.id, "key", j.key, "error", apiErr.Message)
+	st, _, err := g.dispatch(j)
+	if err != nil {
+		g.log.Warn("redispatch failed", "job", j.id, "key", j.key, "error", err.Message)
 		return false
 	}
 	g.rerouted.Add(1)
@@ -550,8 +466,9 @@ func (g *Gateway) redispatch(j *gwJob) bool {
 // compute the canonical key, pick the ring owner, forward, reroute on
 // refusal.  Incremental requests (baseJob) prefer the base's member — that
 // is where the subtree cache is warm — with the base id rewritten into the
-// member's namespace; when that member is gone the baseJob field is dropped
-// and the request ring-routes as a plain run (correct, just cold).
+// member's namespace; when that member is gone, refuses or has forgotten
+// the base, the baseJob field is dropped and the request ring-routes as a
+// plain run (correct, just cold).
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
@@ -565,63 +482,52 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, validationError(err))
 		return
 	}
-	key, err := g.requestKey(req, sinks)
+	key, err := req.key(sinks)
 	if err != nil {
 		writeError(w, &APIError{HTTPStatus: http.StatusBadRequest, Code: ErrBadSetting, Message: err.Error()})
 		return
 	}
 
-	j := &gwJob{id: g.newGatewayJobID(), key: key}
-	preferred := ""
+	j := &gwJob{id: fmt.Sprintf("gwjob-%s-%d", g.idPrefix, g.idCtr.Add(1)), key: key, baseID: req.BaseJob}
+	var affinity, baseMemberID string
 	if req.BaseJob != "" {
-		base, ok := g.lookup(req.BaseJob)
+		g.mu.Lock()
+		base, ok := g.jobs[req.BaseJob]
+		g.mu.Unlock()
 		if !ok {
 			writeError(w, &APIError{HTTPStatus: http.StatusNotFound, Code: ErrUnknownBase,
 				Message: fmt.Sprintf("unknown base job %q", req.BaseJob)})
 			return
 		}
-		j.baseID = req.BaseJob
-		member, memberID := base.placement()
-		if member != "" && g.isHealthy(member) {
-			// Affinity dispatch: same member, base id translated into its
-			// namespace.
-			preferred = member
-			req.BaseJob = memberID
-		} else {
-			// The base's member is gone and its id means nothing elsewhere;
-			// a plain run on the ring owner is the correct fallback.
-			req.BaseJob = ""
+		if member, memberID := base.placement(); member != "" && g.isHealthy(member) {
+			affinity, baseMemberID = member, memberID
 		}
+		// The base id means something only on the base's member, so every
+		// other dispatch, redispatch included, sends the plain request.
+		req.BaseJob = ""
 	}
-	affinityBody, err := json.Marshal(req)
+	j.body, err = json.Marshal(req)
+	var affinityBody []byte
+	if err == nil && affinity != "" {
+		req.BaseJob = baseMemberID
+		affinityBody, err = json.Marshal(req)
+	}
 	if err != nil {
 		writeError(w, &APIError{HTTPStatus: http.StatusInternalServerError, Code: ErrBadRequest, Message: err.Error()})
 		return
-	}
-	j.body = affinityBody
-	if preferred != "" {
-		// Redispatch after the affinity member dies must not carry its job
-		// id; keep the base-stripped body for that path.
-		plain := req
-		plain.BaseJob = ""
-		if j.body, err = json.Marshal(plain); err != nil {
-			writeError(w, &APIError{HTTPStatus: http.StatusInternalServerError, Code: ErrBadRequest, Message: err.Error()})
-			return
-		}
 	}
 	g.register(j)
 
 	var st *JobStatus
 	var code int
 	var apiErr *APIError
-	if preferred != "" {
-		st, code, apiErr, _ = g.forwardSubmit(j, affinityBody, preferred, 1)
-		if st == nil && apiErr == nil {
-			// Affinity member refused or died: ring-route the plain body.
-			st, code, apiErr = g.dispatch(j, "")
-		}
-	} else {
-		st, code, apiErr = g.dispatch(j, "")
+	if affinity != "" {
+		st, code, apiErr = g.forwardSubmit(j, affinityBody, affinity, 1)
+	}
+	// A base's member that refused, died or has forgotten the base leaves
+	// the plain request to the ring.
+	if affinity == "" || (apiErr != nil && (refused(code) || apiErr.Code == ErrUnknownBase)) {
+		st, code, apiErr = g.dispatch(j)
 	}
 	if apiErr != nil {
 		writeError(w, apiErr)
@@ -634,56 +540,39 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, st)
 }
 
-// memberStatus fetches a job's status from its member.  A transport failure
-// or a member that forgot the job (404 after a restart) triggers a
-// redispatch; the caller re-reads afterwards.
+// memberStatus fetches a job's status from its member.  A member that
+// cannot be reached or has forgotten the job (404 after a restart) triggers
+// a redispatch, and the status is read again from the new member.
 func (g *Gateway) memberStatus(j *gwJob) (*JobStatus, *APIError) {
-	if st := j.terminalStatus(); st != nil {
-		return st, nil
-	}
-	for attempt := 0; attempt < 2; attempt++ {
+	for attempt := 0; ; attempt++ {
+		if st := j.terminalStatus(); st != nil {
+			return st, nil
+		}
 		member, memberID := j.placement()
-		if member == "" {
-			break
+		if attempt == 2 || member == "" {
+			return nil, &APIError{HTTPStatus: http.StatusServiceUnavailable, Code: ErrMemberUnreachable,
+				Message: fmt.Sprintf("job %s is not reachable on any member", j.id), RetryAfter: retryAfterSeconds}
 		}
-		resp, err := g.client.Get(member + "/v1/jobs/" + memberID)
-		if err != nil {
-			g.markDown(member)
-		} else {
-			data, rerr := io.ReadAll(io.LimitReader(resp.Body, maxRequestBytes))
-			resp.Body.Close()
-			if rerr == nil && resp.StatusCode == http.StatusOK {
-				var st JobStatus
-				if err := json.Unmarshal(data, &st); err != nil {
-					return nil, &APIError{HTTPStatus: http.StatusBadGateway, Code: ErrMemberUnreachable,
-						Message: fmt.Sprintf("member %s: undecodable status: %v", member, err)}
-				}
-				j.rewrite(&st)
-				j.freeze(&st)
-				return &st, nil
-			}
-			// 404: the member restarted and forgot the job; anything else
-			// unexpected is treated the same — redispatch.
-		}
-		if !g.redispatch(j) {
+		var st JobStatus
+		code, err := g.call(http.MethodGet, member, "/v1/jobs/"+memberID, nil, nil, &st)
+		switch {
+		case err == nil:
+			j.adopt("", &st)
+			return &st, nil
+		case code/100 == 2:
+			return nil, err
+		case !g.redispatch(j):
 			return nil, &APIError{HTTPStatus: http.StatusServiceUnavailable, Code: ErrMemberUnreachable,
 				Message:    fmt.Sprintf("job %s lost with member %s and no replica accepted it", j.id, member),
 				RetryAfter: retryAfterSeconds}
 		}
-		if st := j.terminalStatus(); st != nil {
-			return st, nil
-		}
 	}
-	return nil, &APIError{HTTPStatus: http.StatusServiceUnavailable, Code: ErrMemberUnreachable,
-		Message: fmt.Sprintf("job %s is not reachable on any member", j.id), RetryAfter: retryAfterSeconds}
 }
 
 // handleGet implements GET /v1/jobs/{id} on the gateway.
 func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request) {
-	j, ok := g.lookup(r.PathValue("id"))
+	j, ok := g.job(w, r)
 	if !ok {
-		writeError(w, &APIError{HTTPStatus: http.StatusNotFound, Code: ErrNotFound,
-			Message: fmt.Sprintf("unknown job %q", r.PathValue("id"))})
 		return
 	}
 	st, apiErr := g.memberStatus(j)
@@ -700,10 +589,8 @@ func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request) {
 // job's member is unreachable the cancel is honored locally: the job is
 // frozen as canceled at the gateway, so it will never be redispatched.
 func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := g.lookup(r.PathValue("id"))
+	j, ok := g.job(w, r)
 	if !ok {
-		writeError(w, &APIError{HTTPStatus: http.StatusNotFound, Code: ErrNotFound,
-			Message: fmt.Sprintf("unknown job %q", r.PathValue("id"))})
 		return
 	}
 	if st := j.terminalStatus(); st != nil {
@@ -711,32 +598,17 @@ func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	member, memberID := j.placement()
-	req, _ := http.NewRequest(http.MethodDelete, member+"/v1/jobs/"+memberID, nil)
-	resp, err := g.client.Do(req)
-	if err == nil {
-		data, rerr := io.ReadAll(io.LimitReader(resp.Body, maxRequestBytes))
-		resp.Body.Close()
-		if rerr == nil && resp.StatusCode == http.StatusOK {
-			var st JobStatus
-			if uerr := json.Unmarshal(data, &st); uerr == nil {
-				j.rewrite(&st)
-				j.freeze(&st)
-				w.Header().Set(HeaderMember, member)
-				writeJSON(w, http.StatusOK, &st)
-				return
-			}
-		}
-	} else {
-		g.markDown(member)
+	var st JobStatus
+	if _, err := g.call(http.MethodDelete, member, "/v1/jobs/"+memberID, nil, nil, &st); err == nil {
+		j.adopt("", &st)
+		w.Header().Set(HeaderMember, member)
+		writeJSON(w, http.StatusOK, &st)
+		return
 	}
 	// The member is gone (or forgot the job): honor the cancel at the
 	// gateway so the job cannot come back through redispatch.
-	st := &JobStatus{
-		ID: j.id, State: StateCanceled, Priority: PriorityNormal, Key: j.key,
-		BaseJob: j.baseID,
-		Error:   fmt.Sprintf("member %s unreachable; canceled at gateway", member),
-	}
-	j.freeze(st)
+	j.adopt("", &JobStatus{State: StateCanceled, Priority: PriorityNormal, Key: j.key,
+		Error: fmt.Sprintf("member %s unreachable; canceled at gateway", member)})
 	writeJSON(w, http.StatusOK, j.terminalStatus())
 }
 
@@ -745,36 +617,26 @@ func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request) {
 // so a dead member means a 503 — unlike the status, the trace has no
 // gateway-side copy to fall back to.
 func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j, ok := g.lookup(r.PathValue("id"))
+	j, ok := g.job(w, r)
 	if !ok {
-		writeError(w, &APIError{HTTPStatus: http.StatusNotFound, Code: ErrNotFound,
-			Message: fmt.Sprintf("unknown job %q", r.PathValue("id"))})
 		return
 	}
 	member, memberID := j.placement()
-	resp, err := g.client.Get(member + "/v1/jobs/" + memberID + "/trace")
-	if err != nil {
-		g.markDown(member)
-		writeError(w, &APIError{HTTPStatus: http.StatusServiceUnavailable, Code: ErrMemberUnreachable,
-			Message: fmt.Sprintf("member %s unreachable: %v", member, err), RetryAfter: retryAfterSeconds})
-		return
-	}
-	defer resp.Body.Close()
-	data, rerr := io.ReadAll(io.LimitReader(resp.Body, maxRequestBytes))
-	if rerr != nil || resp.StatusCode != http.StatusOK {
+	var tr JobTrace
+	code, err := g.call(http.MethodGet, member, "/v1/jobs/"+memberID+"/trace", nil, nil, &tr)
+	switch {
+	case err == nil:
+		tr.ID = j.id
+		w.Header().Set(HeaderMember, member)
+		writeJSON(w, http.StatusOK, tr)
+	case code == 0 || code/100 == 2:
+		writeError(w, err)
+	default:
+		// The member answered but no longer has the job; its error would
+		// name the member-side id.
 		writeError(w, &APIError{HTTPStatus: http.StatusNotFound, Code: ErrNotFound,
 			Message: fmt.Sprintf("no trace for job %q on member %s", j.id, member)})
-		return
 	}
-	var tr JobTrace
-	if err := json.Unmarshal(data, &tr); err != nil {
-		writeError(w, &APIError{HTTPStatus: http.StatusBadGateway, Code: ErrMemberUnreachable,
-			Message: fmt.Sprintf("member %s: undecodable trace: %v", member, err)})
-		return
-	}
-	tr.ID = j.id
-	w.Header().Set(HeaderMember, member)
-	writeJSON(w, http.StatusOK, tr)
 }
 
 // handleEvents implements GET /v1/jobs/{id}/events on the gateway: an SSE
@@ -784,35 +646,33 @@ func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
 // reconnects to the new member, replaying the new run from its beginning;
 // event ids are gateway-minted and strictly increasing across the splice.
 func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := g.lookup(r.PathValue("id"))
+	j, ok := g.job(w, r)
 	if !ok {
-		writeError(w, &APIError{HTTPStatus: http.StatusNotFound, Code: ErrNotFound,
-			Message: fmt.Sprintf("unknown job %q", r.PathValue("id"))})
 		return
 	}
-	flusher, ok := w.(http.Flusher)
+	flusher, ok := startSSE(w)
 	if !ok {
-		writeError(w, &APIError{HTTPStatus: http.StatusInternalServerError,
-			Code: ErrBadRequest, Message: "response writer does not support streaming"})
 		return
 	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
 	seq := 0
-	for attempt := 0; attempt < gatewayEventAttempts; attempt++ {
-		if r.Context().Err() != nil {
-			return
+	emit := func(event string, data []byte) {
+		writeEvent(w, seq, event, data)
+		seq++
+		flusher.Flush()
+	}
+	sendDone := func(st *JobStatus) error {
+		data, err := json.Marshal(st)
+		if err == nil {
+			emit(EventTypeDone, data)
 		}
+		return err
+	}
+	for attempt := 0; attempt < gatewayEventAttempts && r.Context().Err() == nil; attempt++ {
 		if st := j.terminalStatus(); st != nil && attempt > 0 {
 			// The member died after finishing but the gateway knows the
 			// terminal status: the flow history is gone with the member, the
 			// outcome is not.
-			g.emitDone(w, flusher, j, &seq, st)
+			sendDone(st)
 			return
 		}
 		member, memberID := j.placement()
@@ -822,90 +682,56 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resp, err := g.stream.Do(req)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			if err != nil {
-				g.markDown(member)
-			} else {
-				io.Copy(io.Discard, resp.Body) //nolint:errcheck
-				resp.Body.Close()
-			}
+		if err != nil {
+			g.markDown(member)
 			if !g.redispatch(j) {
 				return
 			}
 			continue
 		}
-		finished := g.pipeEvents(w, flusher, resp.Body, j, &seq)
+		finished := false
+		if resp.StatusCode == http.StatusOK {
+			err = readSSE(resp.Body, func(event string, data []byte) error {
+				if event != EventTypeDone {
+					emit(event, data)
+					return nil
+				}
+				var st JobStatus
+				if err := json.Unmarshal(data, &st); err != nil {
+					return err
+				}
+				j.adopt("", &st)
+				finished = true
+				return sendDone(&st)
+			})
+		}
 		resp.Body.Close()
 		if finished || r.Context().Err() != nil {
 			return
 		}
-		// Stream broke before the done event: the member died mid-job.
-		g.markDown(member)
+		if resp.StatusCode == http.StatusOK {
+			// The stream broke before its done event: the member died mid-job.
+			g.markDown(member)
+			g.log.Warn("member event stream broke", "member", member, "job", j.id, "error", err)
+		}
 		if !g.redispatch(j) {
 			return
 		}
 	}
 }
 
-// emitDone writes one terminal SSE event from a gateway-cached status.
-func (g *Gateway) emitDone(w io.Writer, flusher http.Flusher, j *gwJob, seq *int, st *JobStatus) {
-	data, err := json.Marshal(st)
-	if err != nil {
-		return
-	}
-	fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", *seq, EventTypeDone, data)
-	*seq++
-	flusher.Flush()
-}
-
-// pipeEvents copies one member SSE stream through, re-minting event ids and
-// translating the terminal status into the gateway namespace.  It reports
-// whether the stream reached its done event (false means the member died
-// mid-stream and the caller should fail over).
-func (g *Gateway) pipeEvents(w io.Writer, flusher http.Flusher, body io.Reader, j *gwJob, seq *int) bool {
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64<<10), maxRequestBytes)
-	event, data := "", ""
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "id:"):
-			// Member-side ids are per-member; the gateway mints its own so
-			// ids stay strictly increasing across a failover splice.
-		case strings.HasPrefix(line, "event:"):
-			event = strings.TrimSpace(strings.TrimPrefix(line, "event:"))
-		case strings.HasPrefix(line, "data:"):
-			data = strings.TrimSpace(strings.TrimPrefix(line, "data:"))
-		case line == "":
-			if event == "" && data == "" {
-				continue
-			}
-			if event == EventTypeDone {
-				var st JobStatus
-				if err := json.Unmarshal([]byte(data), &st); err == nil {
-					j.rewrite(&st)
-					j.freeze(&st)
-					if enc, err := json.Marshal(&st); err == nil {
-						data = string(enc)
-					}
-				}
-			}
-			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", *seq, event, data)
-			*seq++
-			flusher.Flush()
-			if event == EventTypeDone {
-				return true
-			}
-			event, data = "", ""
-		}
-	}
-	return false
-}
-
 // handleHealth implements GET /healthz on the gateway: ok while at least one
 // member is routable.
 func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if g.healthyCount() == 0 {
+	g.mu.Lock()
+	healthy := 0
+	for _, up := range g.health {
+		if up {
+			healthy++
+		}
+	}
+	g.mu.Unlock()
+	if healthy == 0 {
 		writeJSON(w, http.StatusServiceUnavailable, Health{Status: "no healthy members", Draining: false})
 		return
 	}
@@ -914,26 +740,11 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // memberStats polls one member's /v1/stats.
 func (g *Gateway) memberStats(member string) MemberStatus {
-	ms := MemberStatus{URL: member}
-	resp, err := g.client.Get(member + "/v1/stats")
-	if err != nil {
-		ms.Error = err.Error()
-		return ms
-	}
-	defer resp.Body.Close()
-	data, rerr := io.ReadAll(io.LimitReader(resp.Body, maxRequestBytes))
-	if rerr != nil || resp.StatusCode != http.StatusOK {
-		ms.Error = fmt.Sprintf("stats poll answered %d", resp.StatusCode)
-		return ms
-	}
 	var st Stats
-	if err := json.Unmarshal(data, &st); err != nil {
-		ms.Error = fmt.Sprintf("undecodable stats: %v", err)
-		return ms
+	if _, err := g.call(http.MethodGet, member, "/v1/stats", nil, nil, &st); err != nil {
+		return MemberStatus{URL: member, Error: err.Message}
 	}
-	ms.Healthy = true
-	ms.Stats = &st
-	return ms
+	return MemberStatus{URL: member, Healthy: true, Stats: &st}
 }
 
 // handleStats implements GET /v1/stats on the gateway: the per-member and
@@ -942,15 +753,7 @@ func (g *Gateway) memberStats(member string) MemberStatus {
 // a millisecond ago reports unhealthy here even if the last probe liked it.
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	members := make([]MemberStatus, len(g.ring.members))
-	var wg sync.WaitGroup
-	for i, m := range g.ring.members {
-		wg.Add(1)
-		go func(i int, m string) {
-			defer wg.Done()
-			members[i] = g.memberStats(m)
-		}(i, m)
-	}
-	wg.Wait()
+	g.fanOut(func(i int, m string) { members[i] = g.memberStats(m) })
 	healthy := 0
 	for _, m := range members {
 		if m.Healthy {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"time"
@@ -51,6 +52,38 @@ func validationError(err error) *APIError {
 		return e
 	}
 	return &APIError{HTTPStatus: http.StatusBadRequest, Code: ErrBadRequest, Message: err.Error()}
+}
+
+// writeNotFound answers a job route whose {id} names no job the handler
+// knows (never assigned, or forgotten by retention).
+func writeNotFound(w http.ResponseWriter, r *http.Request) {
+	writeError(w, &APIError{HTTPStatus: http.StatusNotFound, Code: ErrNotFound,
+		Message: fmt.Sprintf("unknown job %q", r.PathValue("id"))})
+}
+
+// startSSE sends the headers of an event stream and returns the flusher
+// the events go through; it answers 500 and reports false when the
+// response writer cannot stream.
+func startSSE(w http.ResponseWriter) (http.Flusher, bool) {
+	flusher, ok := w.(http.Flusher)
+	if !ok {
+		writeError(w, &APIError{HTTPStatus: http.StatusInternalServerError,
+			Code: ErrBadRequest, Message: "response writer does not support streaming"})
+		return nil, false
+	}
+	h := w.Header()
+	h.Set("Content-Type", "text/event-stream")
+	h.Set("Cache-Control", "no-cache")
+	h.Set("Connection", "keep-alive")
+	w.WriteHeader(http.StatusOK)
+	flusher.Flush()
+	return flusher, true
+}
+
+// writeEvent writes one SSE frame: an id, an event type and one data line
+// (readSSE reads exactly this subset back).  The caller flushes.
+func writeEvent(w io.Writer, id int, event string, data []byte) {
+	fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", id, event, data)
 }
 
 // handleSubmit implements POST /v1/jobs: validate, serve from the result
@@ -112,20 +145,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// The flow is assembled first so the cache key hashes the *effective*
-	// settings: a request spelling out the defaults and one leaving them
-	// zero land on the same entry.
+	key, err := req.key(sinks)
 	var jb *job
-	flow, err := s.buildFlow(req, func() *job { return jb })
+	var flow *cts.Flow
+	if err == nil {
+		flow, err = s.buildFlow(req, func() *job { return jb })
+	}
 	if err != nil {
 		writeError(w, &APIError{HTTPStatus: http.StatusBadRequest, Code: ErrBadSetting, Message: err.Error()})
 		return
-	}
-	key := cts.CanonicalKey(flow.Settings(), sinks)
-	if req.Verify {
-		// Verification changes the Result (it adds the simulated timing),
-		// so verified and unverified runs are distinct cache entries.
-		key += "+verify"
 	}
 
 	j := newJob(s.newJobID(), req, key, flow, sinks, priority, deadline)
@@ -202,8 +230,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		writeError(w, &APIError{HTTPStatus: http.StatusNotFound, Code: ErrNotFound,
-			Message: fmt.Sprintf("unknown job %q", r.PathValue("id"))})
+		writeNotFound(w, r)
 		return
 	}
 	writeJSON(w, http.StatusOK, j.status())
@@ -216,8 +243,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		writeError(w, &APIError{HTTPStatus: http.StatusNotFound, Code: ErrNotFound,
-			Message: fmt.Sprintf("unknown job %q", r.PathValue("id"))})
+		writeNotFound(w, r)
 		return
 	}
 	s.cancelJob(j)
@@ -232,28 +258,19 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		writeError(w, &APIError{HTTPStatus: http.StatusNotFound, Code: ErrNotFound,
-			Message: fmt.Sprintf("unknown job %q", r.PathValue("id"))})
+		writeNotFound(w, r)
 		return
 	}
-	flusher, ok := w.(http.Flusher)
+	flusher, ok := startSSE(w)
 	if !ok {
-		writeError(w, &APIError{HTTPStatus: http.StatusInternalServerError,
-			Code: ErrBadRequest, Message: "response writer does not support streaming"})
 		return
 	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
 
 	next := 0
 	for {
 		tail, terminal, changed := j.snapshotSince(next)
 		for _, ev := range tail {
-			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.seq, ev.kind, ev.data)
+			writeEvent(w, ev.seq, ev.kind, ev.data)
 		}
 		if len(tail) > 0 {
 			next += len(tail)
@@ -279,8 +296,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		writeError(w, &APIError{HTTPStatus: http.StatusNotFound, Code: ErrNotFound,
-			Message: fmt.Sprintf("unknown job %q", r.PathValue("id"))})
+		writeNotFound(w, r)
 		return
 	}
 	st := j.status()

@@ -7,20 +7,20 @@ import (
 	"sort"
 )
 
-// defaultVirtualNodes is the number of points each member contributes to the
+// virtualNodes is the number of points each member contributes to the
 // hash ring.  More points flatten the ownership distribution (the per-member
 // share of keys concentrates around 1/N with a relative spread of roughly
-// 1/sqrt(vnodes)); 200 keeps every member within a few percent of its fair
-// share while ring construction and lookup stay trivially cheap.
-const defaultVirtualNodes = 200
+// 1/sqrt(virtualNodes)); 200 keeps every member within a few percent of its
+// fair share while ring construction and lookup stay trivially cheap.
+const virtualNodes = 200
 
 // ring is a consistent-hash ring over member base URLs.  Keys (canonical
 // request keys, see cts.CanonicalKey) hash onto a 64-bit circle populated
-// with vnodes points per member; a key is owned by the member whose point
-// follows the key's hash clockwise.  The two properties the cluster leans
+// with virtualNodes points per member; a key is owned by the member whose
+// point follows the key's hash clockwise.  The two properties the cluster leans
 // on, both pinned by TestRingChurnBounded:
 //
-//   - Ownership is a pure function of (members, vnodes, key): every gateway
+//   - Ownership is a pure function of (members, key): every gateway
 //     configured with the same member list routes every key identically.
 //   - Membership changes move only the keys they must: removing a member
 //     reassigns exactly the keys it owned (~1/N of the space), adding one
@@ -45,12 +45,8 @@ type ringPoint struct {
 
 // newRing builds a ring over the member identities; duplicates are dropped
 // and order does not matter (the member list is sorted, so two gateways with
-// the same set in any order build identical rings).  vnodes <= 0 selects the
-// default.
-func newRing(members []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVirtualNodes
-	}
+// the same set in any order build identical rings).
+func newRing(members []string) *ring {
 	uniq := make([]string, 0, len(members))
 	seen := make(map[string]bool, len(members))
 	for _, m := range members {
@@ -63,10 +59,10 @@ func newRing(members []string, vnodes int) *ring {
 	sort.Strings(uniq)
 	r := &ring{
 		members: uniq,
-		points:  make([]ringPoint, 0, len(uniq)*vnodes),
+		points:  make([]ringPoint, 0, len(uniq)*virtualNodes),
 	}
 	for i, m := range uniq {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			r.points = append(r.points, ringPoint{
 				hash:   ringHash(fmt.Sprintf("%s#%d", m, v)),
 				member: i,

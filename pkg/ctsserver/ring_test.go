@@ -30,13 +30,13 @@ func ringMembers(n int) []string {
 // and empty entries must not matter.
 func TestRingDeterministicOwnership(t *testing.T) {
 	members := ringMembers(5)
-	a := newRing(members, 0)
+	a := newRing(members)
 
 	shuffled := append([]string(nil), members...)
 	rng := rand.New(rand.NewSource(7))
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	shuffled = append(shuffled, "", members[0], members[3]) // noise: empties and dupes
-	b := newRing(shuffled, 0)
+	b := newRing(shuffled)
 
 	for _, k := range ringKeys(2000) {
 		if a.owner(k) != b.owner(k) {
@@ -58,7 +58,7 @@ func TestRingDeterministicOwnership(t *testing.T) {
 // every member exactly once, owner first.
 func TestRingReplicasDistinctAndComplete(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8} {
-		r := newRing(ringMembers(n), 0)
+		r := newRing(ringMembers(n))
 		for _, k := range ringKeys(500) {
 			reps := r.replicas(k)
 			if len(reps) != n {
@@ -83,7 +83,7 @@ func TestRingReplicasDistinctAndComplete(t *testing.T) {
 func TestRingUniformity(t *testing.T) {
 	keys := ringKeys(10000)
 	for _, n := range []int{3, 5, 8} {
-		r := newRing(ringMembers(n), 0)
+		r := newRing(ringMembers(n))
 		counts := make(map[string]int, n)
 		for _, k := range keys {
 			counts[r.owner(k)]++
@@ -112,13 +112,13 @@ func TestRingChurnBounded(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		n := 3 + rng.Intn(6) // 3..8 members
 		members := ringMembers(n)
-		before := newRing(members, 0)
+		before := newRing(members)
 
 		if rng.Intn(2) == 0 {
 			// Remove one member: every moved key must have been owned by it,
 			// and every key it owned must move.
 			victim := members[rng.Intn(n)]
-			after := newRing(removeMember(members, victim), 0)
+			after := newRing(removeMember(members, victim))
 			moved, owned := 0, 0
 			for _, k := range keys {
 				was := before.owner(k)
@@ -142,7 +142,7 @@ func TestRingChurnBounded(t *testing.T) {
 		} else {
 			// Add one member: every moved key must now belong to the newcomer.
 			newcomer := fmt.Sprintf("http://member-new-%03d:8155", trial)
-			after := newRing(append(append([]string(nil), members...), newcomer), 0)
+			after := newRing(append(append([]string(nil), members...), newcomer))
 			moved := 0
 			for _, k := range keys {
 				if before.owner(k) != after.owner(k) {
@@ -186,14 +186,14 @@ func removeMember(members []string, victim string) []string {
 // TestRingEmptyAndSingle pins the degenerate cases the gateway construction
 // guards against.
 func TestRingEmptyAndSingle(t *testing.T) {
-	empty := newRing(nil, 0)
+	empty := newRing(nil)
 	if got := empty.owner("anything"); got != "" {
 		t.Errorf("empty ring owner = %q, want \"\"", got)
 	}
 	if reps := empty.replicas("anything"); reps != nil {
 		t.Errorf("empty ring replicas = %v, want nil", reps)
 	}
-	single := newRing([]string{"http://only:8155"}, 0)
+	single := newRing([]string{"http://only:8155"})
 	for _, k := range ringKeys(50) {
 		if single.owner(k) != "http://only:8155" {
 			t.Fatalf("single-member ring misrouted %q", k)

@@ -294,8 +294,8 @@ func TestValidationErrors(t *testing.T) {
 		if resp.StatusCode != 400 {
 			t.Errorf("body %q: HTTP %d, want 400", body, resp.StatusCode)
 		}
-		if err := decodeAPIError(resp.StatusCode, data); err.(*APIError).Code != ErrBadRequest {
-			t.Errorf("body %q: error %v, want code bad-request", body, err)
+		if e := decodeAPIError(resp.StatusCode, data); e.Code != ErrBadRequest {
+			t.Errorf("body %q: error %v, want code bad-request", body, e)
 		}
 	}
 }

@@ -140,6 +140,27 @@ type JobRequest struct {
 	BaseJob string `json:"baseJob,omitempty"`
 }
 
+// key is the request's content address, on which Server caches and Gateway
+// routes: cts.CanonicalKey over the effective settings and the sinks, plus
+// a "+verify" marker, since verification adds the simulated timing to the
+// Result and so makes a distinct entry.  A request spelling out the defaults
+// and one leaving them zero share a key.
+func (req JobRequest) key(sinks []cts.Sink) (string, error) {
+	var set cts.Settings
+	if req.Settings != nil {
+		set = *req.Settings
+	}
+	eff, err := set.Effective()
+	if err != nil {
+		return "", err
+	}
+	key := cts.CanonicalKey(eff, sinks)
+	if req.Verify {
+		key += "+verify"
+	}
+	return key, nil
+}
+
 // JobState is the lifecycle state of a job.
 type JobState string
 

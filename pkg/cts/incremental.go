@@ -121,8 +121,12 @@ func (f *Flow) mergeLevelCached(ctx context.Context, merger MergeRouter, current
 					continue
 				}
 				// An undecodable value is just a miss: the merge below
-				// recomputes the sub-tree and overwrites the entry, so a
-				// corrupt cache can cost time but never correctness.
+				// recomputes the sub-tree, so a corrupt cache can cost time
+				// but never correctness.  The Put that follows does not
+				// replace the bad entry (MemorySubtreeCache only refreshes a
+				// resident key), so every later run recomputes this merge
+				// too: a cache fed from outside should check values before
+				// keeping them.
 			}
 		}
 		missPairs = append(missPairs, p)

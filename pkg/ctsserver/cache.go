@@ -1,153 +1,157 @@
 package ctsserver
 
 import (
-	"container/list"
 	"encoding/json"
-	"sync"
+	"net/url"
+	"sync/atomic"
 
+	"repro/internal/mergeroute"
+	"repro/pkg/cts"
 	"repro/pkg/ctsserver/store"
 )
 
-// resultCache is the content-addressed result cache: canonical request key
-// (cts.CanonicalKey, plus the verify marker) → rendered cts.Result JSON.
-// It is two tiers deep.  The memory tier keeps entries LRU within a byte
-// budget measured over the stored JSON, so a burst of large results evicts
-// the coldest ones first.  The optional disk tier (a store.Store) sits
-// under it: every completed job writes through to disk, a memory miss reads
-// through from disk (promoting the entry back into memory), and because the
-// disk tier survives process restarts, a freshly started server answers
-// resubmissions of pre-restart work without synthesis.
-type resultCache struct {
-	mu        sync.Mutex
-	maxBytes  int64
-	bytes     int64                    // guarded by mu
-	order     *list.List               // guarded by mu; front = most recently used
-	items     map[string]*list.Element // guarded by mu
-	memHits   int64                    // guarded by mu
-	diskHits  int64                    // guarded by mu
-	misses    int64                    // guarded by mu
-	evictions int64                    // guarded by mu
+// subtreeDiskMinBytes is the subtree tier's disk write-through floor.  The
+// disk store rewrites its manifest on every structural change, so persisting
+// each of a large job's thousands of tiny leaf-adjacent merges would turn one
+// synthesis into quadratic manifest churn.  Coarse sub-trees are where the
+// reuse value is — one hit near the root stands in for a whole region — so
+// only values at least this large go to disk; the memory level holds
+// everything.
+const subtreeDiskMinBytes = 16 << 10
 
-	// disk is the persistent tier; nil without a cache directory.  It has
-	// its own lock, so disk I/O never serializes memory-tier lookups.
-	disk *store.Store
+// tierKind is what differs between the server's two tiers: the sibling
+// endpoint their values travel over, the disk floor, and the check a
+// sibling's value must pass before it is kept or served.
+type tierKind struct {
+	route       string            // peer endpoint; the escaped key follows it
+	contentType string            // the peer endpoint's response type
+	floor       int               // smallest value written through to disk
+	valid       func([]byte) bool // accepts a sibling's value
 }
 
-type cacheEntry struct {
-	key  string
-	data json.RawMessage
+var (
+	// resultKind caches rendered cts.Result JSON under the canonical request
+	// key (cts.CanonicalKey plus the verify marker).
+	resultKind = tierKind{"/v1/peer/result/", "application/json", 0, validResult}
+	// subtreeKind caches encoded sub-trees (internal/mergeroute's codec)
+	// under cts.SubtreeKey.
+	subtreeKind = tierKind{"/v1/peer/subtree/", "application/octet-stream", subtreeDiskMinBytes, validSubtree}
+)
+
+// tier is one content-addressed cache of the server, three levels deep: a
+// byte-budgeted memory LRU, an optional disk store that survives restarts,
+// and the sibling members of a cluster.  Synthesis is deterministic, so a
+// value found at any level is the one a fresh run would produce.  The server
+// keeps two tiers: the result cache, and the subtree cache that every job's
+// flow shares (tier implements cts.SubtreeCache), which is what lets a delta
+// job reuse its base job's merges.
+type tier struct {
+	tierKind
+	mem      *cts.MemorySubtreeCache // nil when the memory level is disabled
+	maxBytes int64                   // the memory budget as configured
+	disk     *store.Store            // nil without a cache directory
+	peers    *peerSet                // nil or empty on a single node
+
+	// Every lookup a member makes for its own jobs lands in exactly one of
+	// mem's hits, diskHits, peerHits or misses.
+	diskHits, peerHits, misses atomic.Int64
 }
 
-// newResultCache builds a cache with the byte budget; maxBytes <= 0
-// disables the memory tier (every lookup falls through to disk, every
-// store goes only to disk).  disk may be nil for a memory-only cache.
-func newResultCache(maxBytes int64, disk *store.Store) *resultCache {
-	return &resultCache{
-		maxBytes: maxBytes,
-		order:    list.New(),
-		items:    map[string]*list.Element{},
-		disk:     disk,
+// newTier builds a tier; maxBytes <= 0 disables the memory level, and disk
+// and peers may be nil.
+func newTier(kind tierKind, maxBytes int64, disk *store.Store, peers *peerSet) *tier {
+	t := &tier{tierKind: kind, maxBytes: maxBytes, disk: disk, peers: peers}
+	if maxBytes > 0 {
+		t.mem = cts.NewMemorySubtreeCache(maxBytes)
 	}
+	return t
 }
 
-// get returns the cached result JSON for the key, refreshing its recency.
-// A memory miss falls through to the disk tier; a disk hit is promoted
-// into the memory tier so repeats stay off the disk.
-func (c *resultCache) get(key string) (json.RawMessage, bool) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.memHits++
-		c.order.MoveToFront(el)
-		data := el.Value.(*cacheEntry).data
-		c.mu.Unlock()
-		return data, true
-	}
-	c.mu.Unlock()
-
-	if c.disk != nil {
-		if data, ok := c.disk.Get(key); ok {
-			c.mu.Lock()
-			c.diskHits++
-			c.insertLocked(key, data)
-			c.mu.Unlock()
-			return data, true
+// getLocal looks the key up in memory, then on disk, promoting a disk hit
+// into memory.  It never asks the peers, so the peer endpoint that serves it
+// cannot fan a read out across the cluster.
+func (t *tier) getLocal(key string) ([]byte, bool) {
+	if t.mem != nil {
+		if v, ok := t.mem.Get(key); ok {
+			return v, true
 		}
 	}
-	c.mu.Lock()
-	c.misses++
-	c.mu.Unlock()
+	if t.disk != nil {
+		if v, ok := t.disk.Get(key); ok {
+			t.diskHits.Add(1)
+			if t.mem != nil {
+				t.mem.Put(key, v)
+			}
+			return v, true
+		}
+	}
 	return nil, false
 }
 
-// put stores the result JSON in the memory tier (evicting LRU entries until
-// the byte budget holds again; results larger than the whole budget are not
-// kept in memory) and writes through to the disk tier.
-func (c *resultCache) put(key string, data json.RawMessage) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		// Identical requests produce identical results, so a re-store only
-		// refreshes recency.
-		c.order.MoveToFront(el)
-		c.mu.Unlock()
-	} else {
-		c.insertLocked(key, data)
-		c.mu.Unlock()
+// Get looks the key up locally, then across the peers.  A peer's value is
+// kept only if the kind's check accepts it, and is re-cached through Put:
+// after a membership change a key's new owner fetches it once from the old
+// owner and serves it locally ever after (the cluster's lazy rebalance).
+func (t *tier) Get(key string) ([]byte, bool) {
+	if v, ok := t.getLocal(key); ok {
+		return v, true
 	}
-	if c.disk != nil {
-		c.disk.Put(key, data)
-	}
-}
-
-// insertLocked adds one entry to the memory tier and evicts down to the
-// budget.  Callers must hold c.mu.
-func (c *resultCache) insertLocked(key string, data json.RawMessage) {
-	size := int64(len(data))
-	if size > c.maxBytes {
-		return
-	}
-	if _, ok := c.items[key]; ok {
-		return
-	}
-	c.items[key] = c.order.PushFront(&cacheEntry{key: key, data: data})
-	c.bytes += size
-	for c.bytes > c.maxBytes {
-		back := c.order.Back()
-		if back == nil {
-			break
+	if t.peers != nil {
+		if v, ok := t.peers.fetch(t.route+url.PathEscape(key), t.valid); ok {
+			t.peerHits.Add(1)
+			t.Put(key, v)
+			return v, true
 		}
-		e := back.Value.(*cacheEntry)
-		c.order.Remove(back)
-		delete(c.items, e.key)
-		c.bytes -= int64(len(e.data))
-		c.evictions++
+	}
+	t.misses.Add(1)
+	return nil, false
+}
+
+// Put stores the value in memory and writes it through to disk when it
+// reaches the kind's floor.
+func (t *tier) Put(key string, value []byte) {
+	if t.mem != nil {
+		t.mem.Put(key, value)
+	}
+	if t.disk != nil && len(value) >= t.floor {
+		t.disk.Put(key, value)
 	}
 }
 
-// counters snapshots just the lookup counters (the cheap subset of stats,
-// read per-series by the /metrics scrape).
-func (c *resultCache) counters() (memHits, diskHits, misses, evictions int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.memHits, c.diskHits, c.misses, c.evictions
-}
-
-// stats snapshots the cache counters across both tiers.
-func (c *resultCache) stats() CacheStats {
-	c.mu.Lock()
-	st := CacheStats{
-		Entries:    len(c.items),
-		Bytes:      c.bytes,
-		MaxBytes:   c.maxBytes,
-		Hits:       c.memHits + c.diskHits,
-		MemoryHits: c.memHits,
-		DiskHits:   c.diskHits,
-		Misses:     c.misses,
-		Evictions:  c.evictions,
+// stats snapshots the tier's occupancy and lookup counters.
+func (t *tier) stats() SubtreeStats {
+	st := SubtreeStats{
+		MaxBytes: t.maxBytes,
+		DiskHits: t.diskHits.Load(),
+		PeerHits: t.peerHits.Load(),
+		Misses:   t.misses.Load(),
 	}
-	c.mu.Unlock()
-	if c.disk != nil {
-		ds := c.disk.Stats()
+	if t.mem != nil {
+		ms := t.mem.Stats()
+		st.Entries, st.Bytes, st.MemoryHits, st.Evictions = ms.Entries, ms.Bytes, ms.Hits, ms.Evictions
+	}
+	if t.disk != nil {
+		ds := t.disk.Stats()
 		st.Disk = &ds
 	}
 	return st
+}
+
+// validResult accepts a rendered cts.Result: a JSON object carrying the
+// effective settings and a positive sink count.
+func validResult(data []byte) bool {
+	var r struct {
+		Settings *struct{} `json:"settings"`
+		Stats    struct {
+			Sinks int `json:"sinks"`
+		} `json:"stats"`
+	}
+	return json.Unmarshal(data, &r) == nil && r.Settings != nil && r.Stats.Sinks > 0
+}
+
+// validSubtree accepts a value the subtree codec decodes; its checksum
+// catches any corruption.
+func validSubtree(data []byte) bool {
+	_, _, err := mergeroute.DecodeSubtree(data)
+	return err == nil
 }

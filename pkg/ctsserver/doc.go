@@ -156,17 +156,22 @@
 // Because synthesis is deterministic, a cached result is bit-identical to
 // what a fresh run would produce.
 //
-// The cache is two tiers deep.  The memory tier is LRU within a byte
-// budget (Options.CacheBytes) over the stored Result JSON.  The optional
-// disk tier (Options.CacheDir / Options.CacheDiskBytes; package
+// The result cache is one of the server's two cache tiers; the subtree
+// cache below is the other, and both are the same type with the same
+// levels.  The memory level is LRU within a byte budget
+// (Options.CacheBytes) over the stored Result JSON.  The optional disk
+// level (Options.CacheDir / Options.CacheDiskBytes; package
 // repro/pkg/ctsserver/store) persists one gzip-compressed result per key
 // with crash-safe writes and its own LRU-by-atime byte budget: completed
 // jobs write through to it, memory misses read through from it (promoting
 // the entry), and because it survives restarts, a freshly started server
 // answers resubmissions of pre-restart work from disk — the restart-
-// survival path ctsd's -cache-dir flag enables.  GET /v1/stats reports
-// both tiers (CacheStats, with the disk tier under "disk": hits, misses,
-// evictions, corrupt-entry deletions, occupancy).
+// survival path ctsd's -cache-dir flag enables.  In cluster mode the
+// sibling members are the third level (see Cluster mode).  GET /v1/stats
+// reports the tier as CacheStats: each lookup for a submission counts in
+// exactly one of memoryHits, diskHits, peerHits or misses, and the disk
+// level's own snapshot sits under "disk" (hits, misses, evictions,
+// corrupt-entry deletions, occupancy).
 //
 // Terminal jobs stay addressable (status and event replay) until the
 // retention bounds (Options.JobRetention, Options.RetainBytes) forget the
@@ -196,18 +201,19 @@
 // across base and delta — renaming a sink changes every enclosing
 // sub-tree's key.
 //
-// The subtree cache is its own two-tier structure, shared by every job:
-// plain runs write their merges through (warming it for free), incremental
-// runs read them back.  The memory tier is LRU within
-// Options.SubtreeCacheBytes; with a CacheDir, coarse sub-trees (at least
-// 16 KiB encoded) also persist to a "subtrees" directory under it, bounded
-// by Options.SubtreeCacheDiskBytes, so the expensive upper levels of
-// pre-restart work stay reusable.  The size floor exists because the disk
-// store rewrites its manifest per write — persisting every tiny
-// leaf-adjacent merge would be quadratic churn for entries that are cheap
-// to recompute anyway.  GET /v1/stats reports the tier under
-// cache.subtrees (SubtreeStats: occupancy, memoryHits/diskHits/misses,
-// evictions, and the disk store's own snapshot).
+// The subtree cache is the result cache's type over encoded sub-trees,
+// shared by every job: plain runs write their merges through (warming it
+// for free), incremental runs read them back.  The memory level is LRU
+// within Options.SubtreeCacheBytes; with a CacheDir, the disk level keeps
+// only coarse sub-trees (a 16 KiB floor on the encoded size) in a
+// "subtrees" directory under it, bounded by Options.SubtreeCacheDiskBytes,
+// so the expensive upper levels of pre-restart work stay reusable.  The
+// floor exists because the disk store rewrites its manifest per write —
+// persisting every tiny leaf-adjacent merge would be quadratic churn for
+// entries that are cheap to recompute anyway.  GET /v1/stats reports the
+// tier under cache.subtrees (SubtreeStats: occupancy, the same four
+// lookup counters per sub-tree lookup, evictions, and the disk store's
+// own snapshot).
 //
 // # Cluster mode
 //
@@ -227,12 +233,9 @@
 // refuses, or has forgotten the base, it runs as a plain ring-routed
 // request instead (the same result, computed cold).
 //
-// Three response/request headers expose the routing:
+// One response header exposes the routing:
 //
-//	X-Ctsd-Route-Key      (request, gateway→member) the canonical key routed on
-//	X-Ctsd-Route-Attempt  (request, gateway→member) 1-based dispatch attempt;
-//	                      2+ means the ring owner was skipped or refused
-//	X-Ctsd-Member         (response, gateway→client) the member that served
+//	X-Ctsd-Member  (response, gateway→client) the member that served
 //
 // Failover: a member that refuses (429/503/5xx) or cannot be reached is
 // skipped and the job is dispatched to the next member in the key's
@@ -253,8 +256,16 @@
 // the same for incremental runs (GET /v1/peer/subtree/{key}).  This is
 // the lazy rebalance story: after membership changes move ~1/N of the key
 // space, moved keys miss once on their new owner, are fetched from the old
-// one's cache, and are local thereafter.  Peer hits are reported in
-// cache.peerHits and cache.subtrees.peerHits of GET /v1/stats.
+// one's cache, and are local thereafter.  A sibling's value is checked
+// before it is kept or served — a result must be a JSON object with
+// settings and a positive stats.sinks, a sub-tree must pass the codec's
+// checksum — and a rejected value is a miss.  A kept value is re-cached
+// like a local one, so peer-served results and coarse sub-trees also
+// reach the disk level and survive a restart.  Peer hits are reported in
+// cache.peerHits and cache.subtrees.peerHits of GET /v1/stats.  Counters
+// follow the lookups a member makes for its own jobs: a peer hit is not
+// also a miss, and a sibling's probe counts on the probed member only as
+// the memory or disk hit it was (a probe that misses counts nothing).
 //
 // On a gateway, GET /v1/stats answers ClusterStats instead of Stats: the
 // gateway's own routing counters (gateway), every member's health and

@@ -9,7 +9,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,18 +18,9 @@ import (
 	"repro/pkg/cts"
 )
 
-// Routing headers the gateway attaches.  The request headers let a member's
-// access log attribute forwarded work; the response header tells the client
-// which member actually served.
-const (
-	// HeaderRouteKey carries the canonical request key the gateway routed on.
-	HeaderRouteKey = "X-Ctsd-Route-Key"
-	// HeaderRouteAttempt is the 1-based dispatch attempt (2+ means the ring
-	// owner was skipped or refused and the job was rerouted to a replica).
-	HeaderRouteAttempt = "X-Ctsd-Route-Attempt"
-	// HeaderMember names the member base URL that served the request.
-	HeaderMember = "X-Ctsd-Member"
-)
+// HeaderMember is the response header naming the member base URL that
+// served a request the gateway forwarded.
+const HeaderMember = "X-Ctsd-Member"
 
 // defaultHealthInterval is the member health-probe period.  Probes are one
 // GET /healthz each, so even small intervals are cheap; 1s keeps the window
@@ -407,13 +397,10 @@ func refused(code int) bool {
 // job is adopted there and the status comes back in the gateway namespace
 // with the member's HTTP code; otherwise the member's code (0 when it could
 // not be reached) and the error come back for the caller to judge.
-func (g *Gateway) forwardSubmit(j *gwJob, body []byte, member string, attempt int) (*JobStatus, int, *APIError) {
+func (g *Gateway) forwardSubmit(j *gwJob, body []byte, member string) (*JobStatus, int, *APIError) {
 	var st JobStatus
-	code, err := g.call(http.MethodPost, member, "/v1/jobs", http.Header{
-		"Content-Type":     {"application/json"},
-		HeaderRouteKey:     {j.key},
-		HeaderRouteAttempt: {strconv.Itoa(attempt)},
-	}, body, &st)
+	code, err := g.call(http.MethodPost, member, "/v1/jobs",
+		http.Header{"Content-Type": {"application/json"}}, body, &st)
 	if err != nil {
 		return nil, code, err
 	}
@@ -428,7 +415,7 @@ func (g *Gateway) forwardSubmit(j *gwJob, body []byte, member string, attempt in
 func (g *Gateway) dispatch(j *gwJob) (*JobStatus, int, *APIError) {
 	cands := g.candidates(j.key)
 	for i, m := range cands {
-		st, code, err := g.forwardSubmit(j, j.body, m, i+1)
+		st, code, err := g.forwardSubmit(j, j.body, m)
 		if err == nil {
 			if i > 0 {
 				g.rerouted.Add(1)
@@ -522,7 +509,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var code int
 	var apiErr *APIError
 	if affinity != "" {
-		st, code, apiErr = g.forwardSubmit(j, affinityBody, affinity, 1)
+		st, code, apiErr = g.forwardSubmit(j, affinityBody, affinity)
 	}
 	// A base's member that refused, died or has forgotten the base leaves
 	// the plain request to the ring.

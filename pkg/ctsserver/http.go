@@ -161,19 +161,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		j.baseJob = req.BaseJob
 		j.incremental = true
 	}
-	data, hit := s.cache.get(key)
-	if !hit {
-		// Both local tiers missed: in cluster mode, ask the sibling members
-		// before synthesizing.  A peer hit is re-cached locally (lazy
-		// rebalance after membership changes) and served exactly like a
-		// local one.
-		data, hit = s.peerResult(key)
-	}
-	if hit {
-		// Cache hit (memory-, disk- or peer-served): the job is born
-		// terminal and no synthesis runs.  The hit is served even past the
-		// deadline — the result already exists, so expiring it would only
-		// withhold it.
+	if data, hit := s.cache.Get(key); hit {
+		// Cache hit (memory-, disk- or peer-served, a peer's value re-cached
+		// locally): the job is born terminal and no synthesis runs.  The
+		// hit is served even past the deadline — the result already
+		// exists, so expiring it would only withhold it.
 		s.register(j)
 		s.sched.submitted.Add(1)
 		s.finishJob(j, StateQueued, StateDone, true, data, "")
@@ -317,10 +309,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleStats implements GET /v1/stats.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	cache := s.cache.stats()
-	cache.PeerHits = s.peers.resultHits.Load()
+	rs := s.cache.stats()
+	cache := CacheStats{
+		Entries: rs.Entries, Bytes: rs.Bytes, MaxBytes: rs.MaxBytes,
+		Hits:       rs.MemoryHits + rs.DiskHits,
+		MemoryHits: rs.MemoryHits, DiskHits: rs.DiskHits, PeerHits: rs.PeerHits,
+		Misses: rs.Misses, Evictions: rs.Evictions, Disk: rs.Disk,
+	}
 	if s.subtrees != nil {
-		cache.Subtrees = s.subtrees.stats()
+		st := s.subtrees.stats()
+		cache.Subtrees = &st
 	}
 	writeJSON(w, http.StatusOK, Stats{
 		Scheduler:     s.sched.stats(),

@@ -195,7 +195,7 @@ func TestSubtreeTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tier := newSubtreeTier(1<<20, disk, nil)
+	tier := newTier(subtreeKind, 1<<20, disk, nil)
 
 	small := []byte("tiny")
 	coarse := make([]byte, subtreeDiskMinBytes)
@@ -218,7 +218,7 @@ func TestSubtreeTier(t *testing.T) {
 	// A fresh tier over the same store models a restart: the coarse value
 	// comes back from disk (one disk hit) and is promoted, so the second
 	// read is a memory hit; the small value is gone.
-	tier2 := newSubtreeTier(1<<20, disk, nil)
+	tier2 := newTier(subtreeKind, 1<<20, disk, nil)
 	if _, ok := tier2.Get("coarse"); !ok {
 		t.Fatal("coarse value lost across restart")
 	}

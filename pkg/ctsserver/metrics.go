@@ -76,28 +76,33 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.NewGauge("ctsd_running_jobs", "Jobs currently on a worker.").
 		Func(func() float64 { _, running, _ := s.sched.gauges(); return float64(running) })
 
-	// Result and subtree caches, per tier.  The funcs read the caches'
-	// own counters; with the subtree tier disabled they report zero.
-	hits := r.NewCounter("ctsd_cache_hits_total", "Result-cache lookup hits per tier.", "tier")
-	misses := r.NewCounter("ctsd_cache_misses_total", "Result-cache lookup misses.", "tier")
-	hits.Func(func() float64 { mh, _, _, _ := s.cache.counters(); return float64(mh) }, "memory")
-	hits.Func(func() float64 { _, dh, _, _ := s.cache.counters(); return float64(dh) }, "disk")
-	hits.Func(func() float64 { return float64(s.peers.resultHits.Load()) }, "peer")
-	misses.Func(func() float64 { _, _, ms, _ := s.cache.counters(); return float64(ms) }, "result")
-	r.NewCounter("ctsd_cache_evictions_total", "Result-cache memory-tier LRU evictions.").
-		Func(func() float64 { _, _, _, ev := s.cache.counters(); return float64(ev) })
-	sh := r.NewCounter("ctsd_subtree_cache_hits_total", "Subtree-cache lookup hits per tier.", "tier")
-	sm := r.NewCounter("ctsd_subtree_cache_misses_total", "Subtree-cache lookup misses (merges recomputed).")
-	subtreeCounters := func() (int64, int64, int64, int64) {
-		if s.subtrees == nil {
-			return 0, 0, 0, 0
+	// Result and subtree tiers: hits per level and misses, read at scrape
+	// from each tier's own counters; a disabled subtree tier reports zero.
+	for _, c := range []struct {
+		t            *tier
+		hits, misses obs.CounterVec
+		missLabel    []string
+	}{
+		{s.cache,
+			r.NewCounter("ctsd_cache_hits_total", "Result-cache lookup hits per tier.", "tier"),
+			r.NewCounter("ctsd_cache_misses_total", "Result-cache lookup misses.", "tier"), []string{"result"}},
+		{s.subtrees,
+			r.NewCounter("ctsd_subtree_cache_hits_total", "Subtree-cache lookup hits per tier.", "tier"),
+			r.NewCounter("ctsd_subtree_cache_misses_total", "Subtree-cache lookup misses (merges recomputed)."), nil},
+	} {
+		stats := func() SubtreeStats {
+			if c.t == nil {
+				return SubtreeStats{}
+			}
+			return c.t.stats()
 		}
-		return s.subtrees.counters()
+		c.hits.Func(func() float64 { return float64(stats().MemoryHits) }, "memory")
+		c.hits.Func(func() float64 { return float64(stats().DiskHits) }, "disk")
+		c.hits.Func(func() float64 { return float64(stats().PeerHits) }, "peer")
+		c.misses.Func(func() float64 { return float64(stats().Misses) }, c.missLabel...)
 	}
-	sh.Func(func() float64 { mh, _, _, _ := subtreeCounters(); return float64(mh) }, "memory")
-	sh.Func(func() float64 { _, dh, _, _ := subtreeCounters(); return float64(dh) }, "disk")
-	sh.Func(func() float64 { _, _, ph, _ := subtreeCounters(); return float64(ph) }, "peer")
-	sm.Func(func() float64 { _, _, _, ms := subtreeCounters(); return float64(ms) })
+	r.NewCounter("ctsd_cache_evictions_total", "Result-cache memory-tier LRU evictions.").
+		Func(func() float64 { return float64(s.cache.stats().Evictions) })
 
 	// Synthesis aggregates from the shared observer sink, and the merge
 	// router's scratch-arena recycling and maze work (process-wide, like the

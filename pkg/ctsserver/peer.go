@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -39,10 +37,6 @@ type peerSet struct {
 	mu        sync.Mutex
 	urls      []string             // guarded by mu
 	downUntil map[string]time.Time // guarded by mu
-
-	resultHits  atomic.Int64
-	subtreeHits atomic.Int64
-	misses      atomic.Int64
 }
 
 // newPeerSet builds a peer set over sibling base URLs; timeout <= 0 selects
@@ -86,14 +80,6 @@ func (p *peerSet) list() []string {
 	return out
 }
 
-// empty reports whether the set has no peers at all (cooldowns included);
-// callers use it to skip peer bookkeeping entirely on single-node servers.
-func (p *peerSet) empty() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.urls) == 0
-}
-
 // markDown starts a failure cooldown for one peer.
 func (p *peerSet) markDown(u string) {
 	p.mu.Lock()
@@ -102,9 +88,10 @@ func (p *peerSet) markDown(u string) {
 }
 
 // fetch asks each available peer for the path in list order and returns the
-// first 200 body.  A 404 means the peer is alive but has no entry (keep
-// asking the others); a transport failure puts the peer in cooldown.
-func (p *peerSet) fetch(path string) ([]byte, bool) {
+// first 200 body that valid accepts.  A 404 or a rejected body means the
+// peer has no usable entry (keep asking the others); a transport failure
+// puts the peer in cooldown.
+func (p *peerSet) fetch(path string, valid func([]byte) bool) ([]byte, bool) {
 	for _, u := range p.list() {
 		resp, err := p.client.Get(u + path)
 		if err != nil {
@@ -122,31 +109,11 @@ func (p *peerSet) fetch(path string) ([]byte, bool) {
 			p.markDown(u)
 			continue
 		}
-		return data, true
+		if valid(data) {
+			return data, true
+		}
 	}
 	return nil, false
-}
-
-// getResult looks a canonical result key up across the peers.
-func (p *peerSet) getResult(key string) ([]byte, bool) {
-	data, ok := p.fetch("/v1/peer/result/" + url.PathEscape(key))
-	if ok {
-		p.resultHits.Add(1)
-	} else {
-		p.misses.Add(1)
-	}
-	return data, ok
-}
-
-// getSubtree looks a subtree key up across the peers.
-func (p *peerSet) getSubtree(key string) ([]byte, bool) {
-	data, ok := p.fetch("/v1/peer/subtree/" + url.PathEscape(key))
-	if ok {
-		p.subtreeHits.Add(1)
-	} else {
-		p.misses.Add(1)
-	}
-	return data, ok
 }
 
 // SetPeers installs (or replaces) the sibling member base URLs this server
@@ -161,54 +128,19 @@ func (s *Server) SetPeers(urls []string) {
 	s.peers.set(urls)
 }
 
-// peerResult consults the peers for a result-cache key after both local
-// tiers missed, re-caching a hit locally.
-func (s *Server) peerResult(key string) ([]byte, bool) {
-	if s.peers.empty() {
-		return nil, false
-	}
-	data, ok := s.peers.getResult(key)
-	if !ok {
-		return nil, false
-	}
-	s.cache.put(key, data)
-	s.log.Debug("peer cache hit", "key", key, "bytes", len(data))
-	return data, true
-}
-
-// handlePeerResult implements GET /v1/peer/result/{key}: the local result
-// cache only (memory + disk tiers, never this server's own peers — one hop,
-// no fan-out recursion).  200 with the raw result JSON, 404 on a miss.
-func (s *Server) handlePeerResult(w http.ResponseWriter, r *http.Request) {
+// servePeer implements GET /v1/peer/result/{key} and /v1/peer/subtree/{key}
+// over one tier: memory and disk only, never this server's own peers (one
+// hop, no fan-out).  200 with the raw value in the tier's content type; 404
+// on a miss or when the tier is disabled (a nil t).
+func (t *tier) servePeer(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	data, ok := s.cache.get(key)
-	if !ok {
-		writeError(w, &APIError{HTTPStatus: http.StatusNotFound, Code: ErrNotFound,
-			Message: fmt.Sprintf("no cached result for key %q", key)})
-		return
+	if t != nil {
+		if data, ok := t.getLocal(key); ok {
+			w.Header().Set("Content-Type", t.contentType)
+			_, _ = w.Write(data)
+			return
+		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
-}
-
-// handlePeerSubtree implements GET /v1/peer/subtree/{key}: the local subtree
-// cache only.  200 with the encoded sub-tree bytes, 404 on a miss (or when
-// the server runs without a subtree tier).
-func (s *Server) handlePeerSubtree(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if s.subtrees == nil {
-		writeError(w, &APIError{HTTPStatus: http.StatusNotFound, Code: ErrNotFound,
-			Message: "subtree cache disabled"})
-		return
-	}
-	data, ok := s.subtrees.getLocal(key)
-	if !ok {
-		writeError(w, &APIError{HTTPStatus: http.StatusNotFound, Code: ErrNotFound,
-			Message: fmt.Sprintf("no cached sub-tree for key %q", key)})
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
+	writeError(w, &APIError{HTTPStatus: http.StatusNotFound, Code: ErrNotFound,
+		Message: fmt.Sprintf("no cached value for key %q", key)})
 }

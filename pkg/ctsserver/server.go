@@ -98,9 +98,9 @@ type Server struct {
 	library  *charlib.Library
 	mux      *http.ServeMux
 	sched    *scheduler
-	cache    *resultCache
-	subtrees *subtreeTier // nil when the subtree tier is disabled
-	peers    *peerSet     // sibling members for cross-node cache reads
+	cache    *tier    // results by canonical request key
+	subtrees *tier    // sub-trees by cts.SubtreeKey; nil when disabled
+	peers    *peerSet // sibling members for cross-node cache reads
 	metrics  *cts.MetricsObserver
 	obsm     *serverMetrics
 	log      *slog.Logger
@@ -172,7 +172,7 @@ func New(o Options) (*Server, error) {
 		disk = d
 	}
 	peers := newPeerSet(o.Peers, o.PeerTimeout)
-	var subtrees *subtreeTier
+	var subtrees *tier
 	if o.SubtreeCacheBytes > 0 {
 		var sdisk *store.Store
 		if o.CacheDir != "" {
@@ -182,13 +182,13 @@ func New(o Options) (*Server, error) {
 			}
 			sdisk = d
 		}
-		subtrees = newSubtreeTier(o.SubtreeCacheBytes, sdisk, peers)
+		subtrees = newTier(subtreeKind, o.SubtreeCacheBytes, sdisk, peers)
 	}
 	s := &Server{
 		opts:     o,
 		tech:     o.Tech,
 		library:  o.Library,
-		cache:    newResultCache(o.CacheBytes, disk),
+		cache:    newTier(resultKind, o.CacheBytes, disk, peers),
 		subtrees: subtrees,
 		peers:    peers,
 		metrics:  cts.NewMetricsObserver(),
@@ -208,10 +208,10 @@ func New(o Options) (*Server, error) {
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	// Peer cache reads (cluster mode): local tiers only, one hop, no
-	// recursion — see peer.go.
-	mux.HandleFunc("GET /v1/peer/result/{key}", s.handlePeerResult)
-	mux.HandleFunc("GET /v1/peer/subtree/{key}", s.handlePeerSubtree)
+	// Peer cache reads (cluster mode): local levels only, one hop, no
+	// recursion — see peer.go.  A disabled subtree tier answers 404.
+	mux.HandleFunc("GET "+resultKind.route+"{key}", s.cache.servePeer)
+	mux.HandleFunc("GET "+subtreeKind.route+"{key}", s.subtrees.servePeer)
 	s.mux = mux
 	return s, nil
 }
@@ -379,7 +379,7 @@ func (s *Server) execute(j *job) {
 			s.finishJob(j, StateRunning, StateFailed, false, nil, fmt.Sprintf("marshaling result: %v", merr))
 			return
 		}
-		s.cache.put(j.key, data)
+		s.cache.Put(j.key, data)
 		s.finishJob(j, StateRunning, StateDone, false, data, "")
 	case errors.Is(err, context.DeadlineExceeded) && j.ctx.Err() == context.DeadlineExceeded:
 		s.finishJob(j, StateRunning, StateExpired, false, nil,

@@ -319,8 +319,8 @@ type SchedulerStats struct {
 	// Rejected counts submissions bounced at admission (queue full); they
 	// are not part of Submitted.
 	Rejected int64 `json:"rejected"`
-	// CacheHits counts submissions served without synthesis (memory- or
-	// disk-served).
+	// CacheHits counts submissions served without synthesis (memory-,
+	// disk- or peer-served).
 	CacheHits int64 `json:"cacheHits"`
 	// Draining reports that intake has stopped for shutdown.
 	Draining bool `json:"draining"`
@@ -338,16 +338,21 @@ type CacheStats struct {
 	// Hits counts lookups answered by either tier (MemoryHits + DiskHits;
 	// kept for wire compatibility with pre-split clients).
 	Hits int64 `json:"hits"`
-	// MemoryHits counts lookups the in-memory tier answered directly.
+	// MemoryHits counts lookups the in-memory tier answered directly,
+	// siblings' probes included.
 	MemoryHits int64 `json:"memoryHits"`
 	// DiskHits counts lookups the memory tier missed but the disk tier
-	// answered (each also promotes the entry back into memory).
+	// answered, siblings' probes included (each also promotes the entry
+	// back into memory).
 	DiskHits int64 `json:"diskHits"`
 	// PeerHits counts submissions both local tiers missed but a sibling
-	// member's cache answered (cluster mode only; each hit is re-cached
-	// locally).  Peer hits are not part of Hits, which stays local-only.
+	// member's cache answered with a value that passed the result check
+	// (cluster mode only; each hit is re-cached locally).  Peer hits are
+	// not part of Hits, which stays local-only, nor of Misses.
 	PeerHits int64 `json:"peerHits,omitempty"`
-	// Misses counts lookups neither tier could answer.
+	// Misses counts submissions no tier could answer, peers included: each
+	// one is a synthesis.  A sibling's probe of this member's cache is not
+	// a lookup of its own and never counts as a miss.
 	Misses int64 `json:"misses"`
 	// Evictions counts memory-tier LRU evictions.
 	Evictions int64 `json:"evictions"`
@@ -367,17 +372,19 @@ type SubtreeStats struct {
 	Entries int `json:"entries"`
 	// Bytes is the memory tier's current total over encoded sub-trees.
 	Bytes int64 `json:"bytes"`
-	// MaxBytes is the memory tier's byte budget (<= 0: unbounded).
+	// MaxBytes is the memory tier's byte budget (always positive: a
+	// negative Options.SubtreeCacheBytes disables the whole tier).
 	MaxBytes int64 `json:"maxBytes"`
 	// MemoryHits counts sub-tree lookups the memory tier answered.
 	MemoryHits int64 `json:"memoryHits"`
 	// DiskHits counts lookups answered by the disk tier (and promoted).
 	DiskHits int64 `json:"diskHits"`
 	// PeerHits counts lookups both local tiers missed but a sibling member
-	// answered (cluster mode, incremental runs only; promoted into memory).
+	// answered with a value that passed the codec's checksum (cluster mode,
+	// incremental runs only; re-cached in memory, and on disk when coarse).
 	PeerHits int64 `json:"peerHits,omitempty"`
-	// Misses counts lookups neither tier could answer (each one is a merge
-	// recomputed from scratch).
+	// Misses counts lookups no tier could answer, peers included (each one
+	// is a merge recomputed from scratch); sibling probes never count.
 	Misses int64 `json:"misses"`
 	// Evictions counts memory-tier LRU evictions.
 	Evictions int64 `json:"evictions"`

@@ -10,13 +10,13 @@ import (
 	"repro/pkg/ctsserver/store"
 )
 
-// subtreeDiskMinBytes is the subtree tier's disk write-through floor.  The
-// disk store rewrites its manifest on every structural change, so persisting
-// each of a large job's thousands of tiny leaf-adjacent merges would turn one
-// synthesis into quadratic manifest churn.  Coarse sub-trees are where the
-// reuse value is — one hit near the root stands in for a whole region — so
-// only values at least this large go to disk; the memory level holds
-// everything.
+// subtreeDiskMinBytes is the subtree tier's disk write-through floor.  Each
+// disk write pays a gzip, an fsync and a rename — on the order of a
+// millisecond — and a 1,024-sink job makes about 1,000 merges, so persisting
+// every tiny leaf-adjacent merge would add about a second of write-through
+// to one synthesis.  Coarse sub-trees are where the reuse value is — one
+// hit near the root stands in for a whole region — so only values at least
+// this large go to disk; the memory level holds everything.
 const subtreeDiskMinBytes = 16 << 10
 
 // tierKind is what differs between the server's two tiers: the sibling

@@ -162,11 +162,12 @@
 // (Options.CacheBytes) over the stored Result JSON.  The optional disk
 // level (Options.CacheDir / Options.CacheDiskBytes; package
 // repro/pkg/ctsserver/store) persists one gzip-compressed result per key
-// with crash-safe writes and its own LRU-by-atime byte budget: completed
-// jobs write through to it, memory misses read through from it (promoting
-// the entry), and because it survives restarts, a freshly started server
-// answers resubmissions of pre-restart work from disk — the restart-
-// survival path ctsd's -cache-dir flag enables.  In cluster mode the
+// with crash-safe writes and its own least-recently-used byte budget,
+// recency kept in each entry file's mtime: completed jobs write through to
+// it, memory misses read through from it (promoting the entry), and
+// because it survives restarts, a freshly started server answers
+// resubmissions of pre-restart work from disk — the restart-survival path
+// ctsd's -cache-dir flag enables.  In cluster mode the
 // sibling members are the third level (see Cluster mode).  GET /v1/stats
 // reports the tier as CacheStats: each lookup for a submission counts in
 // exactly one of memoryHits, diskHits, peerHits or misses, and the disk
@@ -208,12 +209,13 @@
 // only coarse sub-trees (a 16 KiB floor on the encoded size) in a
 // "subtrees" directory under it, bounded by Options.SubtreeCacheDiskBytes,
 // so the expensive upper levels of pre-restart work stay reusable.  The
-// floor exists because the disk store rewrites its manifest per write —
-// persisting every tiny leaf-adjacent merge would be quadratic churn for
-// entries that are cheap to recompute anyway.  GET /v1/stats reports the
-// tier under cache.subtrees (SubtreeStats: occupancy, the same four
-// lookup counters per sub-tree lookup, evictions, and the disk store's
-// own snapshot).
+// floor exists because every disk write pays a gzip, an fsync and a rename
+// (on the order of a millisecond, against about 1,000 merges in a
+// 1,024-sink job) — persisting every tiny leaf-adjacent merge would spend
+// that on entries that are cheap to recompute anyway.  GET /v1/stats
+// reports the tier under cache.subtrees (SubtreeStats: occupancy, the same
+// four lookup counters per sub-tree lookup, evictions, and the disk
+// store's own snapshot).
 //
 // # Cluster mode
 //

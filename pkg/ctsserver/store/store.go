@@ -8,36 +8,35 @@
 // A store owns one directory.  Each entry is a single gzip-compressed
 // cts.Result JSON file named after the SHA-256 of its cache key, with the
 // key itself recorded in the gzip header (Name field) so the directory is
-// self-describing.  Next to the entries sits manifest.json, a small index
-// mapping key → {file, bytes, atime} that carries the access order across
-// restarts.
+// self-describing.  An entry's size is its file size and its last access is
+// its file mtime.  Next to the entries sits manifest.json, a checkpoint of
+// the index (key → {file, bytes, atime}) that only Open writes: it spares
+// the next Open from opening the entries it lists, and lets tools list the
+// keys without decompressing anything.  Get and Put never write it, so it
+// lags whatever they changed until the next Open.
 //
 // # Durability and corruption tolerance
 //
-// Every write — entry files and the manifest alike — goes to a temporary
+// Every write — entry files and the checkpoint alike — goes to a temporary
 // file in the same directory, is synced, and is renamed into place, so a
 // crash at any point leaves either the old content or the new, never a torn
-// file; stray *.tmp files from a killed process are removed on Open.  A
-// missing or unreadable manifest is rebuilt by scanning the entry files
-// (recovering each key from its gzip header), and a corrupt entry — bad
-// gzip stream, bad CRC, a file the manifest does not explain — is deleted
-// and treated as a miss, never surfaced as an error.
+// file; stray *.tmp files from a killed process are removed on Open.  Open
+// indexes the directory in one pass: a file the checkpoint lists keeps its
+// listed key, any other entry file gives up its key from its gzip header,
+// and a listed key whose file is gone is dropped.  A corrupt entry — bad
+// gzip stream, bad CRC, a header key other than the one its name or lookup
+// promises — is deleted and treated as a miss, never surfaced as an error.
 //
 // # Eviction
 //
 // The store enforces a byte budget over the compressed on-disk sizes.  When
 // a put pushes the total over budget, entries are evicted oldest-access
-// first, by the atime recorded in the manifest (atimes advance on Get and
-// Put through a monotonic logical clock, so same-nanosecond accesses still
-// order correctly).  A budget of zero or below disables the bound.
-//
-// Persisting the access order costs one compact, unsynced manifest rewrite
-// per recency change — O(entries) JSON.  That is deliberate: the store
-// fronts whole synthesis runs (seconds each), a disk hit is immediately
-// promoted into the memory tier so repeats never come back, and entries
-// already newest skip the write entirely.  If the store ever fronts a
-// hotter path, batch the atime flushes before reaching for anything
-// fancier.
+// first.  Get and Put record an access by setting the entry file's mtime
+// from a monotonic logical clock (so same-nanosecond accesses still order
+// correctly), and Open reads the order back from the mtimes.  The mtime
+// updates are not synced: a crash may lose the latest ones, which costs
+// eviction order, never a result.  A budget of zero or below disables the
+// bound.
 package store
 
 import (
@@ -58,7 +57,7 @@ import (
 // entrySuffix names entry files; the prefix is the hex SHA-256 of the key.
 const entrySuffix = ".json.gz"
 
-// manifestName is the index file next to the entries.
+// manifestName is the index checkpoint next to the entries.
 const manifestName = "manifest.json"
 
 // manifest is the serialized form of the index: one record per entry,
@@ -74,8 +73,8 @@ type manifestEntry struct {
 	File string `json:"file"`
 	// Bytes is the compressed on-disk size charged against the budget.
 	Bytes int64 `json:"bytes"`
-	// ATime is the last access in Unix nanoseconds; eviction removes the
-	// oldest first.
+	// ATime is the last access in Unix nanoseconds, kept on disk as the
+	// file's mtime; eviction removes the oldest first.
 	ATime int64 `json:"atime"`
 }
 
@@ -98,7 +97,7 @@ type Stats struct {
 	// Evictions counts entries removed by the byte budget since Open.
 	Evictions int64 `json:"evictions"`
 	// Corrupt counts entries deleted because they could not be read back
-	// (bad gzip data, bad CRC, unreadable file) since Open.
+	// (bad gzip data, bad CRC, wrong key, unreadable file) since Open.
 	Corrupt int64 `json:"corrupt"`
 }
 
@@ -123,10 +122,9 @@ type Store struct {
 // Open creates or reopens a store in dir (created if missing, permissions
 // 0o755).  maxBytes bounds the compressed on-disk total; 0 or below leaves
 // the store unbounded.  Open removes stray temporary files from interrupted
-// writes, reconciles the manifest against the entry files actually present
-// (adopting orphans by reading their gzip headers, dropping records whose
-// files are gone, deleting undecodable files), and evicts down to the
-// budget if the surviving set exceeds it.
+// writes, indexes the entry files actually present (deleting undecodable
+// ones), evicts down to the budget if the surviving set exceeds it, and
+// checkpoints the index to manifest.json.
 func Open(dir string, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
@@ -136,87 +134,79 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 		maxBytes: maxBytes,
 		entries:  map[string]manifestEntry{},
 	}
-	if err := s.recover(); err != nil {
+	if err := s.load(); err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	s.evictLocked()
-	s.mu.Unlock()
+	s.evictLocked() // s is not shared yet
+	data, err := json.Marshal(manifest{Version: 1, Entries: s.entries})
+	if err == nil {
+		// A failed checkpoint costs only the next Open's time: every key is
+		// also in its entry's gzip header.
+		_, _ = writeFile(filepath.Join(dir, manifestName), func(w io.Writer) error {
+			_, err := w.Write(data)
+			return err
+		})
+	}
 	return s, nil
 }
 
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.dir }
 
-// recover loads the manifest and reconciles it with the directory contents.
-func (s *Store) recover() error {
+// load indexes the directory: size and access time from each entry file's
+// stat, the key from the previous checkpoint or, for a file it does not
+// list, from the file's gzip header.
+func (s *Store) load() error {
 	var m manifest
 	if data, err := os.ReadFile(filepath.Join(s.dir, manifestName)); err == nil {
-		// A corrupt manifest is not fatal: the entries are self-describing,
-		// so the scan below rebuilds the index (losing only access order).
+		// A corrupt checkpoint is not fatal: the gzip headers below stand
+		// in for it.
 		_ = json.Unmarshal(data, &m)
 	}
-	if m.Entries == nil {
-		m.Entries = map[string]manifestEntry{}
+	listed := make(map[string]string, len(m.Entries)) // file name → key
+	for key := range m.Entries {
+		listed[entryFile(key)] = key
 	}
 
-	names, err := os.ReadDir(s.dir)
+	des, err := os.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("store: reading %s: %w", s.dir, err)
 	}
-	present := map[string]bool{}
-	for _, de := range names {
+	for _, de := range des {
 		name := de.Name()
+		path := filepath.Join(s.dir, name)
 		switch {
-		case de.IsDir() || name == manifestName:
+		case de.IsDir():
 			continue
 		case strings.HasSuffix(name, ".tmp"):
 			// An interrupted write: the entry was never renamed into place,
 			// so dropping the temp file restores the pre-write state (the
 			// crash-between-write-and-rename case resolves as a clean miss).
-			_ = os.Remove(filepath.Join(s.dir, name))
+			_ = os.Remove(path)
 			continue
 		case !strings.HasSuffix(name, entrySuffix):
 			continue
 		}
-		present[name] = true
-	}
-
-	// Keep manifest records whose files survived; their atimes preserve the
-	// LRU order across the restart.
-	for key, e := range m.Entries {
-		if !present[e.File] || e.File != entryFile(key) {
-			continue
+		key, ok := listed[name]
+		if !ok {
+			// Written after the checkpoint: the gzip header names the key.
+			// An undecodable file, or one whose key does not hash to its
+			// name, is deleted.
+			if key, err = readKey(path); err != nil || entryFile(key) != name {
+				s.corrupt++
+				_ = os.Remove(path)
+				continue
+			}
 		}
-		s.entries[key] = e
-		s.bytes += e.Bytes
-		if e.ATime > s.clock {
-			s.clock = e.ATime
-		}
-		delete(present, e.File)
-	}
-	// Adopt entry files the manifest does not know (a crash after the entry
-	// rename but before the manifest write): the key comes from the gzip
-	// header, the atime from the file mtime.  Undecodable files are deleted.
-	for name := range present {
-		path := filepath.Join(s.dir, name)
-		key, err := readKey(path)
-		if err != nil || entryFile(key) != name {
-			s.corrupt++
-			_ = os.Remove(path)
-			continue
-		}
-		fi, err := os.Stat(path)
+		fi, err := de.Info()
 		if err != nil {
 			continue
 		}
-		s.entries[key] = manifestEntry{File: name, Bytes: fi.Size(), ATime: fi.ModTime().UnixNano()}
+		at := fi.ModTime().UnixNano()
+		s.entries[key] = manifestEntry{File: name, Bytes: fi.Size(), ATime: at}
 		s.bytes += fi.Size()
-		if at := fi.ModTime().UnixNano(); at > s.clock {
-			s.clock = at
-		}
+		s.clock = max(s.clock, at)
 	}
-	s.writeManifestLocked(true)
 	return nil
 }
 
@@ -255,54 +245,67 @@ func (s *Store) now() int64 {
 	return t
 }
 
+// touch records an access as the entry file's mtime.  It runs outside s.mu:
+// a failure, or a racing access landing first, costs only eviction-order
+// fidelity after a restart, never a result.
+func touch(path string, at int64) {
+	t := time.Unix(0, at)
+	_ = os.Chtimes(path, t, t)
+}
+
 // Get returns the stored bytes for key and refreshes its access time.  A
 // missing entry, and equally an entry that fails to read back (deleted
-// concurrently, truncated, bad gzip data), reports ok == false; corruption
-// is resolved by deleting the entry, never by returning an error.
+// concurrently, truncated, bad gzip data, another key's entry), reports
+// ok == false; corruption is resolved by deleting the entry, never by
+// returning an error.
 func (s *Store) Get(key string) (data []byte, ok bool) {
 	s.mu.Lock()
 	e, found := s.entries[key]
-	s.mu.Unlock()
 	if !found {
-		s.mu.Lock()
 		s.misses++
 		s.mu.Unlock()
 		return nil, false
 	}
-	data, err := readEntry(filepath.Join(s.dir, e.File))
+	s.mu.Unlock()
+	path := filepath.Join(s.dir, e.File)
+	data, err := readEntry(path, key)
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	cur, still := s.entries[key]
 	if err != nil {
 		// The entry is unreadable: drop it (file and record) and miss.  The
 		// ATime comparison distinguishes the snapshotted generation from a
 		// racing re-Put of the same key (whose file name is identical, being
 		// key-derived): an entry refreshed or rewritten since the snapshot
 		// is left alone rather than deleted as corrupt.
-		if cur, still := s.entries[key]; still && cur.File == e.File && cur.ATime == e.ATime {
+		if still && cur.ATime == e.ATime {
 			delete(s.entries, key)
 			s.bytes -= cur.Bytes
 			s.corrupt++
-			_ = os.Remove(filepath.Join(s.dir, e.File))
-			s.writeManifestLocked(true)
+			_ = os.Remove(path)
 		}
 		s.misses++
+		s.mu.Unlock()
 		return nil, false
 	}
-	if cur, still := s.entries[key]; still && cur.ATime != s.clock {
-		// Refresh recency; an entry already the newest needs no update.  The
-		// atime-only refresh is persisted unsynced: losing it in a crash
-		// only costs eviction-order fidelity, never a result.
+	s.hits++
+	// Refresh recency; an entry already the newest (or evicted meanwhile)
+	// needs no update.
+	fresh := still && cur.ATime != s.clock
+	if fresh {
 		cur.ATime = s.now()
 		s.entries[key] = cur
-		s.writeManifestLocked(false)
 	}
-	s.hits++
+	s.mu.Unlock()
+	if fresh {
+		touch(path, cur.ATime)
+	}
 	return data, true
 }
 
-// readEntry reads and decompresses one entry file; the gzip CRC check makes
-// torn or bit-rotted content surface as an error.
-func readEntry(path string) ([]byte, error) {
+// readEntry reads and decompresses one entry file, which must carry key in
+// its gzip header; the gzip CRC check makes torn or bit-rotted content
+// surface as an error.
+func readEntry(path, key string) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -311,6 +314,9 @@ func readEntry(path string) ([]byte, error) {
 	zr, err := gzip.NewReader(f)
 	if err != nil {
 		return nil, err
+	}
+	if zr.Name != key {
+		return nil, fmt.Errorf("store: %s holds key %q, not %q", path, zr.Name, key)
 	}
 	data, err := io.ReadAll(zr)
 	if err != nil {
@@ -329,74 +335,81 @@ func readEntry(path string) ([]byte, error) {
 // full, permissions) drop the entry silently — the store is a cache, and a
 // failed write is indistinguishable from an eviction.
 func (s *Store) Put(key string, data []byte) {
+	name := entryFile(key)
+	path := filepath.Join(s.dir, name)
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok {
 		e.ATime = s.now()
 		s.entries[key] = e
-		s.writeManifestLocked(false)
 		s.mu.Unlock()
+		touch(path, e.ATime)
 		return
 	}
 	s.mu.Unlock()
 
 	// Compress and land the entry outside the lock; concurrent Puts of the
 	// same key write identical content, so the last rename winning is fine.
-	name := entryFile(key)
-	size, err := writeEntry(filepath.Join(s.dir, name), key, data)
+	size, err := writeFile(path, func(w io.Writer) error {
+		zw := gzip.NewWriter(w)
+		zw.Name = key
+		if _, err := zw.Write(data); err != nil {
+			return err
+		}
+		return zw.Close()
+	})
 	if err != nil {
+		return
+	}
+	if s.maxBytes > 0 && size > s.maxBytes {
+		// An entry larger than the whole budget would evict every other
+		// result just to be evicted next; refuse it, as the memory LRU does.
+		_ = os.Remove(path)
 		return
 	}
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.maxBytes > 0 && size > s.maxBytes {
-		// An entry larger than the whole budget would evict every other
-		// result just to be evicted next; refuse it, as the memory LRU does.
-		_ = os.Remove(filepath.Join(s.dir, name))
-		return
-	}
-	if _, ok := s.entries[key]; !ok {
-		s.entries[key] = manifestEntry{File: name, Bytes: size, ATime: s.now()}
+	e, ok := s.entries[key]
+	if !ok {
+		e = manifestEntry{File: name, Bytes: size}
 		s.bytes += size
 	}
+	e.ATime = s.now()
+	s.entries[key] = e
 	s.evictLocked()
-	s.writeManifestLocked(true)
+	s.mu.Unlock()
+	touch(path, e.ATime)
 }
 
-// writeEntry writes one gzip entry via a temporary file in the same
-// directory and renames it into place, returning the compressed size.
-func writeEntry(path, key string, data []byte) (int64, error) {
+// writeFile writes a file via a temporary file in the same directory,
+// synced and renamed into place, and returns its size.
+func writeFile(path string, write func(io.Writer) error) (int64, error) {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return 0, err
 	}
 	tmp := f.Name()
-	zw := gzip.NewWriter(f)
-	zw.Name = key
-	_, werr := zw.Write(data)
-	if cerr := zw.Close(); werr == nil {
-		werr = cerr
-	}
+	werr := write(f)
 	if werr == nil {
 		werr = f.Sync()
 	}
+	var size int64
+	if werr == nil {
+		var fi os.FileInfo
+		if fi, werr = f.Stat(); werr == nil {
+			size = fi.Size()
+		}
+	}
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
+	}
+	if werr == nil {
+		werr = os.Rename(tmp, path)
 	}
 	if werr != nil {
 		_ = os.Remove(tmp)
 		return 0, werr
 	}
-	fi, err := os.Stat(tmp)
-	if err != nil {
-		_ = os.Remove(tmp)
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		_ = os.Remove(tmp)
-		return 0, err
-	}
-	return fi.Size(), nil
+	return size, nil
 }
 
 // evictLocked removes oldest-access entries until the budget holds.  The
@@ -425,40 +438,6 @@ func (s *Store) evictLocked() {
 		s.bytes -= v.e.Bytes
 		s.evictions++
 		_ = os.Remove(filepath.Join(s.dir, v.e.File))
-	}
-}
-
-// writeManifestLocked persists the index crash-safely (temp + rename; the
-// rename keeps the file atomic even unsynced).  sync additionally fsyncs
-// before the rename — structural changes (put, evict, recovery) pay for
-// durability, atime-only refreshes skip it since losing one in a crash only
-// costs eviction-order fidelity.  Callers must hold s.mu.  Failures are
-// swallowed: the manifest is an optimization (access order and a fast
-// index), and recover rebuilds it from the entries.
-func (s *Store) writeManifestLocked(sync bool) {
-	m := manifest{Version: 1, Entries: s.entries}
-	data, err := json.Marshal(m)
-	if err != nil {
-		return
-	}
-	path := filepath.Join(s.dir, manifestName)
-	f, err := os.CreateTemp(s.dir, manifestName+".*.tmp")
-	if err != nil {
-		return
-	}
-	tmp := f.Name()
-	_, werr := f.Write(data)
-	if werr == nil && sync {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp, path)
-	}
-	if werr != nil {
-		_ = os.Remove(tmp)
 	}
 }
 

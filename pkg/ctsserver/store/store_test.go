@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -125,9 +126,10 @@ func TestEvictionOrder(t *testing.T) {
 		t.Errorf("stats after eviction: %+v", st)
 	}
 
-	// The access order survives a reopen: a was touched after c was
-	// written... actually c is newest; touch a once more so the manifest
-	// marks c as oldest, then overflow after reopening.
+	// The access order survives a reopen: touch a once more so c is the
+	// oldest access, then overflow after reopening.  Nothing writes the
+	// manifest between the two Opens, so the order comes from the entry
+	// mtimes alone.
 	if _, ok := s.Get("a"); !ok {
 		t.Fatal("a missing")
 	}
@@ -272,5 +274,256 @@ func TestOversizedAndConcurrent(t *testing.T) {
 	wg.Wait()
 	if st := s.Stats(); st.Entries != 10 || st.Corrupt != 0 {
 		t.Errorf("stats after concurrent traffic: %+v", st)
+	}
+}
+
+// blob returns an incompressible 4 KiB payload that differs per i, so every
+// entry's compressed size is about the same.
+func blob(i int) []byte {
+	b := make([]byte, 4096)
+	rand.New(rand.NewSource(int64(i))).Read(b)
+	return b
+}
+
+// listedKeys returns the keys manifest.json lists.
+func listedKeys(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]bool{}
+	for k := range m.Entries {
+		keys[k] = true
+	}
+	return keys
+}
+
+// reopen opens a store over dir and fails the test on error.
+func reopen(t *testing.T, dir string, maxBytes int64) *Store {
+	t.Helper()
+	s, err := Open(dir, maxBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestGetAndPutLeaveManifestAlone pins that no operation after Open does
+// O(entries) work: hits, misses, a new Put, a re-Put, a budget eviction and
+// a corrupt read all leave manifest.json as Open wrote it (same file, bytes
+// and mtime) and leave no temporary file behind.
+func TestGetAndPutLeaveManifestAlone(t *testing.T) {
+	dir := t.TempDir()
+	s := reopen(t, dir, 0)
+	for i := 0; i < 4; i++ {
+		s.Put(fmt.Sprintf("k%d", i), blob(i))
+	}
+	size := s.Stats().Bytes / 4
+	s = reopen(t, dir, 6*size+size/2) // fits six entries, not seven
+	path := filepath.Join(dir, manifestName)
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	content, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; i < 4; i++ {
+		if _, ok := s.Get(fmt.Sprintf("k%d", i)); !ok {
+			t.Fatalf("k%d missed", i)
+		}
+	}
+	if _, ok := s.Get("never-stored"); ok {
+		t.Fatal("unknown key hit")
+	}
+	s.Put("k4", blob(4))
+	s.Put("k0", blob(0))
+	s.Put("k5", blob(5))
+	s.Put("k6", blob(6)) // evicts k1, the oldest access
+	bad := filepath.Join(dir, entryFile("k2"))
+	if err := os.WriteFile(bad, []byte("not gzip"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get("k2"); ok {
+		t.Fatal("corrupt entry served")
+	}
+	if st := s.Stats(); st.Evictions != 1 || st.Corrupt != 1 || st.Hits != 4 || st.Entries != 5 {
+		t.Fatalf("operations did not all happen: %+v", st)
+	}
+
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) || !after.ModTime().Equal(before.ModTime()) || !bytes.Equal(now, content) {
+		t.Errorf("manifest rewritten after Open: mtime %v → %v, %d → %d bytes",
+			before.ModTime(), after.ModTime(), len(content), len(now))
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Errorf("temporary files left behind: %v", tmps)
+	}
+}
+
+// TestManifestMissesLaterPuts pins the restart path for entries written
+// after the last Open: the manifest does not list them, and the next Open
+// adopts them from their gzip headers with the recency their mtimes carry.
+func TestManifestMissesLaterPuts(t *testing.T) {
+	dir := t.TempDir()
+	s := reopen(t, dir, 0)
+	s.Put("old1", blob(1))
+	s.Put("old2", blob(2))
+	size := s.Stats().Bytes / 2
+
+	s = reopen(t, dir, 0)
+	s.Put("new", blob(3))
+	if _, ok := s.Get("old1"); !ok { // old2 is now the oldest access
+		t.Fatal("old1 missed")
+	}
+	if got := listedKeys(t, dir); len(got) != 2 || !got["old1"] || !got["old2"] {
+		t.Fatalf("manifest lists %v, want old1 and old2 only", got)
+	}
+
+	s = reopen(t, dir, 2*size+size/2) // fits two entries, not three
+	if _, ok := s.Get("old2"); ok {
+		t.Error("old2 survived, want evicted as the oldest access")
+	}
+	for _, k := range []string{"new", "old1"} {
+		if _, ok := s.Get(k); !ok {
+			t.Errorf("%s lost across the reopen", k)
+		}
+	}
+	if got := listedKeys(t, dir); len(got) != 2 || !got["new"] || !got["old1"] {
+		t.Errorf("manifest after reopen lists %v, want new and old1", got)
+	}
+}
+
+// TestManifestListsDroppedEntries pins the other side: entries evicted or
+// deleted as corrupt after Open stay listed in the manifest, and the next
+// Open drops them without charging their bytes to the budget.
+func TestManifestListsDroppedEntries(t *testing.T) {
+	dir := t.TempDir()
+	s := reopen(t, dir, 0)
+	for i, k := range []string{"a", "b", "c"} {
+		s.Put(k, blob(i))
+	}
+	size := s.Stats().Bytes / 3
+
+	s = reopen(t, dir, 3*size+size/2)
+	s.Put("d", blob(3)) // evicts a
+	if err := os.WriteFile(filepath.Join(dir, entryFile("c")), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get("c"); ok {
+		t.Fatal("emptied entry served")
+	}
+	if got := listedKeys(t, dir); !got["a"] || !got["c"] || got["d"] {
+		t.Fatalf("manifest lists %v, want the checkpoint from Open", got)
+	}
+
+	s = reopen(t, dir, 0)
+	var want int64
+	for _, k := range []string{"b", "d"} {
+		fi, err := os.Stat(filepath.Join(dir, entryFile(k)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += fi.Size()
+	}
+	if st := s.Stats(); st.Entries != 2 || st.Bytes != want || st.Corrupt != 0 {
+		t.Errorf("reopened stats %+v, want 2 entries of %d bytes", st, want)
+	}
+	for _, k := range []string{"a", "c"} {
+		if _, ok := s.Get(k); ok {
+			t.Errorf("dropped entry %s served after reopen", k)
+		}
+	}
+	if got := listedKeys(t, dir); len(got) != 2 || !got["b"] || !got["d"] {
+		t.Errorf("manifest after reopen lists %v, want b and d", got)
+	}
+}
+
+// TestDamagedEntriesMiss damages entries in five ways and pins that each
+// misses, is deleted and counts once in Corrupt while its neighbours still
+// hit: in the process that opened the store, after a restart that trusts
+// the manifest's listing, and after a restart with no manifest.
+func TestDamagedEntriesMiss(t *testing.T) {
+	damages := map[string]func(data, other []byte) []byte{
+		"truncated":   func(data, _ []byte) []byte { return data[:len(data)/2] },
+		"zero-filled": func(data, _ []byte) []byte { return make([]byte, len(data)) },
+		"bit-flipped": func(data, _ []byte) []byte {
+			// The gzip header is 10 bytes plus the NUL-terminated key and
+			// the trailer 8 bytes; flip one bit between them.
+			header := bytes.IndexByte(data[10:], 0) + 11
+			data[header+(len(data)-8-header)/2] ^= 0x10
+			return data
+		},
+		"emptied":     func([]byte, []byte) []byte { return nil },
+		"another key": func(_, other []byte) []byte { return other },
+	}
+	for _, restart := range []string{"none", "listed", "unlisted"} {
+		t.Run("restart="+restart, func(t *testing.T) {
+			dir := t.TempDir()
+			s := reopen(t, dir, 0)
+			for i := 0; i < 3; i++ {
+				s.Put(fmt.Sprintf("neighbour-%d", i), blob(i))
+			}
+			for name := range damages {
+				s.Put("victim-"+name, blob(len(name)))
+			}
+			s = reopen(t, dir, 0) // the manifest lists every entry
+			other, err := os.ReadFile(filepath.Join(dir, entryFile("neighbour-0")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, damage := range damages {
+				path := filepath.Join(dir, entryFile("victim-"+name))
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, damage(data, other), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			switch restart {
+			case "unlisted":
+				if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
+					t.Fatal(err)
+				}
+				fallthrough
+			case "listed":
+				s = reopen(t, dir, 0)
+			}
+
+			for name := range damages {
+				for try := 0; try < 2; try++ {
+					if _, ok := s.Get("victim-" + name); ok {
+						t.Errorf("%s entry served", name)
+					}
+				}
+				if _, err := os.Stat(filepath.Join(dir, entryFile("victim-"+name))); !os.IsNotExist(err) {
+					t.Errorf("%s entry file survived", name)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				if data, ok := s.Get(fmt.Sprintf("neighbour-%d", i)); !ok || !bytes.Equal(data, blob(i)) {
+					t.Errorf("neighbour-%d lost alongside the damaged entries", i)
+				}
+			}
+			if st := s.Stats(); st.Corrupt != int64(len(damages)) || st.Entries != 3 {
+				t.Errorf("stats %+v, want %d corrupt and 3 entries", st, len(damages))
+			}
+		})
 	}
 }

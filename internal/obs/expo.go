@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"io"
 	"math"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -12,86 +13,103 @@ import (
 // package writes (the Prometheus 0.0.4 text format).
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// WritePrometheus renders every registered family in the Prometheus text
-// format, in registration order: a # HELP and # TYPE pair per family, then
-// one line per series (histograms expand to their cumulative _bucket series
-// with a terminal le="+Inf", plus _sum and _count).  The rendering is a
-// consistent read per series, not across the registry — standard scrape
+// Gather snapshots every registered family, in registration order, into the
+// form ParseText and MergeParsed produce: one sample per counter or gauge
+// series, and per histogram series its cumulative _bucket samples ending in
+// le="+Inf", then _sum and _count.  Func series are read here.  The read is
+// consistent per series, not across the registry — standard scrape
 // semantics.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	bw := bufio.NewWriter(w)
+func (r *Registry) Gather() *ParsedMetrics {
+	m := &ParsedMetrics{byName: map[string]*ParsedFamily{}}
 	for _, f := range r.snapshotFamilies() {
-		bw.WriteString("# HELP ")
-		bw.WriteString(f.name)
-		bw.WriteByte(' ')
-		bw.WriteString(escapeHelp(f.help))
-		bw.WriteByte('\n')
-		bw.WriteString("# TYPE ")
-		bw.WriteString(f.name)
-		bw.WriteByte(' ')
-		bw.WriteString(f.kind.String())
-		bw.WriteByte('\n')
+		pf := &ParsedFamily{Name: f.name, Help: f.help, Type: f.kind.String()}
 		for _, s := range f.snapshot() {
-			if f.kind == KindHistogram {
-				writeHistogramSeries(bw, f, s)
+			if f.kind != KindHistogram {
+				pf.Samples = append(pf.Samples, Sample{Name: f.name, Labels: f.labelSet(s, ""), Value: s.read()})
 				continue
 			}
-			v := 0.0
-			if s.fn != nil {
-				v = s.fn()
-			} else {
-				v = s.value.Load()
+			snap := s.readHist()
+			var cum uint64
+			for i, c := range snap.Counts {
+				cum += c
+				le := "+Inf"
+				if i < len(snap.Bounds) {
+					le = formatFloat(snap.Bounds[i])
+				}
+				pf.Samples = append(pf.Samples, Sample{Name: f.name + "_bucket", Labels: f.labelSet(s, le), Value: float64(cum)})
 			}
-			writeSample(bw, f.name, f.labels, s.labelValues, "", "", v)
+			pf.Samples = append(pf.Samples,
+				Sample{Name: f.name + "_sum", Labels: f.labelSet(s, ""), Value: snap.Sum},
+				Sample{Name: f.name + "_count", Labels: f.labelSet(s, ""), Value: float64(cum)})
+		}
+		m.Families = append(m.Families, pf)
+		m.byName[pf.Name] = pf
+	}
+	return m
+}
+
+// labelSet maps the family's label names to the series' values, plus the
+// histogram "le" label when le is non-empty.
+func (f *Family) labelSet(s *series, le string) map[string]string {
+	out := make(map[string]string, len(f.labels)+1)
+	for i, l := range f.labels {
+		out[l] = s.labelValues[i]
+	}
+	if le != "" {
+		out["le"] = le
+	}
+	return out
+}
+
+// WritePrometheus renders every registered family in the Prometheus text
+// format: WriteText over Gather.
+func (r *Registry) WritePrometheus(w io.Writer) error {
+	return WriteText(w, r.Gather())
+}
+
+// WriteText renders a gathered, parsed or merged exposition in the
+// Prometheus text format: a # HELP/# TYPE pair per family, then its samples
+// in order, with label names sorted so the output is deterministic.  The
+// output parses back with ParseText.
+func WriteText(w io.Writer, m *ParsedMetrics) error {
+	bw := bufio.NewWriter(w)
+	for _, f := range m.Families {
+		bw.WriteString("# HELP ")
+		bw.WriteString(f.Name)
+		bw.WriteByte(' ')
+		bw.WriteString(escapeHelp(f.Help))
+		bw.WriteByte('\n')
+		bw.WriteString("# TYPE ")
+		bw.WriteString(f.Name)
+		bw.WriteByte(' ')
+		bw.WriteString(f.Type)
+		bw.WriteByte('\n')
+		for _, s := range f.Samples {
+			bw.WriteString(s.Name)
+			if len(s.Labels) > 0 {
+				keys := make([]string, 0, len(s.Labels))
+				for k := range s.Labels {
+					keys = append(keys, k)
+				}
+				sort.Strings(keys)
+				bw.WriteByte('{')
+				for i, k := range keys {
+					if i > 0 {
+						bw.WriteByte(',')
+					}
+					bw.WriteString(k)
+					bw.WriteString(`="`)
+					bw.WriteString(escapeLabel(s.Labels[k]))
+					bw.WriteByte('"')
+				}
+				bw.WriteByte('}')
+			}
+			bw.WriteByte(' ')
+			bw.WriteString(formatFloat(s.Value))
+			bw.WriteByte('\n')
 		}
 	}
 	return bw.Flush()
-}
-
-// writeHistogramSeries renders one histogram series: cumulative buckets,
-// sum, count.
-func writeHistogramSeries(w *bufio.Writer, f *Family, s *series) {
-	snap := s.hist.Snapshot()
-	var cum uint64
-	for i, b := range snap.Bounds {
-		cum += snap.Counts[i]
-		writeSample(w, f.name+"_bucket", f.labels, s.labelValues, "le", formatFloat(b), float64(cum))
-	}
-	cum += snap.Counts[len(snap.Bounds)]
-	writeSample(w, f.name+"_bucket", f.labels, s.labelValues, "le", "+Inf", float64(cum))
-	writeSample(w, f.name+"_sum", f.labels, s.labelValues, "", "", snap.Sum)
-	writeSample(w, f.name+"_count", f.labels, s.labelValues, "", "", float64(cum))
-}
-
-// writeSample renders one sample line, appending the extra label (the
-// histogram "le") when its name is non-empty.
-func writeSample(w *bufio.Writer, name string, labels, values []string, extraName, extraValue string, v float64) {
-	w.WriteString(name)
-	if len(labels) > 0 || extraName != "" {
-		w.WriteByte('{')
-		for i, l := range labels {
-			if i > 0 {
-				w.WriteByte(',')
-			}
-			w.WriteString(l)
-			w.WriteString(`="`)
-			w.WriteString(escapeLabel(values[i]))
-			w.WriteByte('"')
-		}
-		if extraName != "" {
-			if len(labels) > 0 {
-				w.WriteByte(',')
-			}
-			w.WriteString(extraName)
-			w.WriteString(`="`)
-			w.WriteString(extraValue)
-			w.WriteByte('"')
-		}
-		w.WriteByte('}')
-	}
-	w.WriteByte(' ')
-	w.WriteString(formatFloat(v))
-	w.WriteByte('\n')
 }
 
 // formatFloat renders a sample value: shortest round-trip representation,

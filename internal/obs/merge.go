@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 )
@@ -78,49 +76,4 @@ func sampleKey(s Sample) string {
 		b.WriteString(s.Labels[k])
 	}
 	return b.String()
-}
-
-// WriteText renders a parsed (or merged) exposition back into the Prometheus
-// text format: a # HELP/# TYPE pair per family, then its samples in order,
-// with label names sorted so the output is deterministic.  The output parses
-// back with ParseText.
-func WriteText(w io.Writer, m *ParsedMetrics) error {
-	bw := bufio.NewWriter(w)
-	for _, f := range m.Families {
-		bw.WriteString("# HELP ")
-		bw.WriteString(f.Name)
-		bw.WriteByte(' ')
-		bw.WriteString(escapeHelp(f.Help))
-		bw.WriteByte('\n')
-		bw.WriteString("# TYPE ")
-		bw.WriteString(f.Name)
-		bw.WriteByte(' ')
-		bw.WriteString(f.Type)
-		bw.WriteByte('\n')
-		for _, s := range f.Samples {
-			bw.WriteString(s.Name)
-			if len(s.Labels) > 0 {
-				keys := make([]string, 0, len(s.Labels))
-				for k := range s.Labels {
-					keys = append(keys, k)
-				}
-				sort.Strings(keys)
-				bw.WriteByte('{')
-				for i, k := range keys {
-					if i > 0 {
-						bw.WriteByte(',')
-					}
-					bw.WriteString(k)
-					bw.WriteString(`="`)
-					bw.WriteString(escapeLabel(s.Labels[k]))
-					bw.WriteByte('"')
-				}
-				bw.WriteByte('}')
-			}
-			bw.WriteByte(' ')
-			bw.WriteString(formatFloat(s.Value))
-			bw.WriteByte('\n')
-		}
-	}
-	return bw.Flush()
 }

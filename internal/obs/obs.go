@@ -21,6 +21,10 @@
 //	wait.With("high").Observe(0.004)
 //	reg.WritePrometheus(w)
 //
+// Gather snapshots a registry into the ParsedMetrics form that ParseText and
+// MergeParsed produce, so one writer (WriteText) and one reader serve all
+// three.
+//
 // Time-stamped data (span start times, uptime) makes this package
 // inherently non-deterministic; it must never feed synthesis results.  See
 // the determinism-scope note in internal/analysis/determinism/scope.go.
@@ -110,13 +114,16 @@ func (g *Gauge) Add(delta float64) { (*Value)(g).Add(delta) }
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return (*Value)(g).Load() }
 
-// series is one label-value combination of a family: either an owned
-// scalar/histogram, or a read-at-scrape function.
+// series is one label-value combination of a family.  read (counters and
+// gauges) or readHist (histograms) produces its value at scrape time; for
+// an owned series it reads value or hist, for a Func series it is the
+// caller's function.
 type series struct {
 	labelValues []string
-	value       *Value         // counter/gauge series
-	fn          func() float64 // read-at-scrape series (nil otherwise)
-	hist        *Histogram     // histogram series
+	value       *Value     // owned counter/gauge series (nil for a Func)
+	hist        *Histogram // owned histogram series (nil for a Func)
+	read        func() float64
+	readHist    func() HistogramSnapshot
 }
 
 // Family is one named metric family: a HELP string, a TYPE, a label schema
@@ -136,9 +143,11 @@ type Family struct {
 // Name returns the family name.
 func (f *Family) Name() string { return f.name }
 
-// seriesFor returns (creating if needed) the series for the label values.
-// Callers must pass exactly len(f.labels) values.
-func (f *Family) seriesFor(values []string) *series {
+// seriesFor returns the series for the label values, creating an owned one
+// on first use; given a Func series (fn, carrying read or readHist) it binds
+// that instead, panicking if the values are already bound.  Callers must
+// pass exactly len(f.labels) values.
+func (f *Family) seriesFor(values []string, fn *series) *series {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
@@ -146,37 +155,25 @@ func (f *Family) seriesFor(values []string) *series {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if s, ok := f.byKey[key]; ok {
+		if fn != nil {
+			panic(fmt.Sprintf("obs: %s%v registered twice", f.name, values))
+		}
 		return s
 	}
-	s := &series{labelValues: append([]string(nil), values...)}
-	if f.kind == KindHistogram {
-		s.hist = newHistogram(f.bounds)
-	} else {
-		s.value = &Value{}
+	s := fn
+	switch {
+	case s != nil:
+	case f.kind == KindHistogram:
+		s = &series{hist: newHistogram(f.bounds)}
+		s.readHist = s.hist.Snapshot
+	default:
+		s = &series{value: &Value{}}
+		s.read = s.value.Load
 	}
+	s.labelValues = append([]string(nil), values...)
 	f.series = append(f.series, s)
 	f.byKey[key] = s
 	return s
-}
-
-// addFunc registers a read-at-scrape series; the value is fn() at exposition
-// time.  It panics if the label values are already bound.
-func (f *Family) addFunc(fn func() float64, values []string) {
-	if f.kind == KindHistogram {
-		panic("obs: histogram families cannot hold func series")
-	}
-	if len(values) != len(f.labels) {
-		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
-	}
-	key := labelKey(values)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, ok := f.byKey[key]; ok {
-		panic(fmt.Sprintf("obs: %s%v registered twice", f.name, values))
-	}
-	s := &series{labelValues: append([]string(nil), values...), fn: fn}
-	f.series = append(f.series, s)
-	f.byKey[key] = s
 }
 
 // snapshot returns the series slice under the lock (the slice is
@@ -212,24 +209,28 @@ type CounterVec struct{ f *Family }
 
 // With returns the counter for the label values (creating it on first use).
 func (v CounterVec) With(values ...string) *Counter {
-	return (*Counter)(v.f.seriesFor(values).value)
+	return (*Counter)(v.f.seriesFor(values, nil).value)
 }
 
 // Func registers a read-at-scrape counter series: the exposed value is fn()
 // at scrape time.  fn must be monotone for the series to honor counter
 // semantics (wrapping an existing atomic total qualifies).
-func (v CounterVec) Func(fn func() float64, values ...string) { v.f.addFunc(fn, values) }
+func (v CounterVec) Func(fn func() float64, values ...string) {
+	v.f.seriesFor(values, &series{read: fn})
+}
 
 // GaugeVec is a gauge family handle; With instantiates one series.
 type GaugeVec struct{ f *Family }
 
 // With returns the gauge for the label values (creating it on first use).
 func (v GaugeVec) With(values ...string) *Gauge {
-	return (*Gauge)(v.f.seriesFor(values).value)
+	return (*Gauge)(v.f.seriesFor(values, nil).value)
 }
 
 // Func registers a read-at-scrape gauge series.
-func (v GaugeVec) Func(fn func() float64, values ...string) { v.f.addFunc(fn, values) }
+func (v GaugeVec) Func(fn func() float64, values ...string) {
+	v.f.seriesFor(values, &series{read: fn})
+}
 
 // HistogramVec is a histogram family handle; With instantiates one series.
 type HistogramVec struct{ f *Family }
@@ -237,7 +238,15 @@ type HistogramVec struct{ f *Family }
 // With returns the histogram for the label values (creating it on first
 // use).
 func (v HistogramVec) With(values ...string) *Histogram {
-	return v.f.seriesFor(values).hist
+	return v.f.seriesFor(values, nil).hist
+}
+
+// Func registers a read-at-scrape histogram series: the exposed buckets,
+// sum and count are fn()'s at scrape time.  fn must report on the family's
+// bounds, and its counts must never decrease (a histogram kept elsewhere
+// qualifies).
+func (v HistogramVec) Func(fn func() HistogramSnapshot, values ...string) {
+	v.f.seriesFor(values, &series{readHist: fn})
 }
 
 // Registry owns metric families and renders them in registration order.

@@ -204,6 +204,10 @@ func TestParserRejectsMalformedExpositions(t *testing.T) {
 			"h_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 4\n",
 		"missing sum": "# HELP h H.\n# TYPE h histogram\n" +
 			"h_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 3\nh_count 3\n",
+		"no finite bound": "# HELP h H.\n# TYPE h histogram\n" +
+			"h_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 2\n",
+		"NaN bound": "# HELP h H.\n# TYPE h histogram\n" +
+			"h_bucket{le=\"NaN\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_sum 1\nh_count 2\n",
 	}
 	for name, input := range cases {
 		if _, err := ParseText(strings.NewReader(input)); err == nil {

@@ -141,7 +141,10 @@ func ParseText(r io.Reader) (*ParsedMetrics, error) {
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := sc.Text()
+		// Carriage returns ending a line are dropped, all of them: a HELP
+		// text ending in one could not be written back (WriteText ends
+		// lines with a bare newline, and one \r before it would go too).
+		line := strings.TrimRight(sc.Text(), "\r")
 		if strings.TrimSpace(line) == "" {
 			continue
 		}
@@ -427,6 +430,16 @@ func (f *ParsedFamily) histogramSeries() (map[string]*ParsedHistogram, error) {
 		}
 		if !a.hasSum || !a.hasCount {
 			return nil, fmt.Errorf("histogram %q series %q: missing _sum or _count", f.Name, key)
+		}
+		// Quantile interpolates toward the finite bounds, so a series needs
+		// at least one, and every bound but the terminal +Inf must be one.
+		if len(a.bounds) < 2 {
+			return nil, fmt.Errorf("histogram %q series %q: no finite bucket bound", f.Name, key)
+		}
+		for _, b := range a.bounds[:len(a.bounds)-1] {
+			if math.IsNaN(b) || math.IsInf(b, 0) {
+				return nil, fmt.Errorf("histogram %q series %q: bucket bound %v is not finite", f.Name, key, b)
+			}
 		}
 		for i := 1; i < len(a.bounds); i++ {
 			if a.bounds[i] <= a.bounds[i-1] {

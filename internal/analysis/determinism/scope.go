@@ -33,7 +33,10 @@ package determinism
 // its metrics are order-free atomics by design; nothing in internal/obs may
 // ever feed a Result or a cache key.  The flow itself only gained plain
 // counters (Event.Reused) — the timestamped trace assembly lives in
-// pkg/ctsserver, outside the contract surface.
+// pkg/ctsserver, outside the contract surface.  pkg/cts imports internal/obs
+// for two things only, both in MetricsObserver and off the Result path: the
+// bucket grid of StageMetrics (obs.LatencyBuckets) and the bucket-quantile
+// estimator behind StageMetrics.Quantile.
 var ScopedPackages = []string{
 	"repro/internal/dme",
 	"repro/internal/geom",

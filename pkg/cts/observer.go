@@ -2,10 +2,14 @@ package cts
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // EventKind classifies the progress events a Flow emits.
@@ -104,21 +108,14 @@ func (f *Flow) emit(e Event) {
 	f.cfg.observer(e)
 }
 
-// metricBuckets are the upper bounds of the elapsed-time histogram buckets of
-// StageMetrics; durations above the last bound land in the overflow bucket.
-var metricBuckets = [...]time.Duration{
-	time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond,
-	10 * time.Millisecond, 20 * time.Millisecond, 50 * time.Millisecond,
-	100 * time.Millisecond, 200 * time.Millisecond, 500 * time.Millisecond,
-	time.Second, 2 * time.Second, 5 * time.Second,
-}
-
 // HistogramBounds returns the upper bounds of the StageMetrics elapsed
-// histogram; Buckets[i] counts durations <= bounds[i], and the final bucket
-// (len(bounds)) counts everything longer.
+// histogram, obs.LatencyBuckets as durations; Buckets[i] counts durations <=
+// bounds[i], and the final bucket (len(bounds)) counts everything longer.
 func HistogramBounds() []time.Duration {
-	out := make([]time.Duration, len(metricBuckets))
-	copy(out[:], metricBuckets[:])
+	out := make([]time.Duration, len(obs.LatencyBuckets))
+	for i, b := range obs.LatencyBuckets {
+		out[i] = time.Duration(math.Round(b * float64(time.Second)))
+	}
 	return out
 }
 
@@ -126,11 +123,11 @@ func HistogramBounds() []time.Duration {
 type StageMetrics struct {
 	// Count is the number of completed stage executions.
 	Count int
-	// Total, Min and Max summarize the elapsed times.
-	Total, Min, Max time.Duration
+	// Total is the summed elapsed time.
+	Total time.Duration
 	// Buckets is the elapsed histogram over HistogramBounds (the last entry
-	// is the overflow bucket).
-	Buckets [len(metricBuckets) + 1]int
+	// is the overflow bucket): the grid ctsd exposes as ctsd_stage_seconds.
+	Buckets []int
 }
 
 // Mean returns the mean elapsed time, or zero before the first execution.
@@ -141,17 +138,29 @@ func (s StageMetrics) Mean() time.Duration {
 	return s.Total / time.Duration(s.Count)
 }
 
-func (s *StageMetrics) observe(d time.Duration) {
-	if s.Count == 0 || d < s.Min {
-		s.Min = d
+// Quantile estimates the q-quantile of the elapsed times from the buckets,
+// with the interpolation every histogram reader in internal/obs shares (a
+// rank in the overflow bucket reports the last bound).
+func (s StageMetrics) Quantile(q float64) time.Duration {
+	counts := make([]uint64, len(s.Buckets))
+	for i, n := range s.Buckets {
+		counts[i] = uint64(n)
 	}
-	if d > s.Max {
-		s.Max = d
+	sec := obs.HistogramSnapshot{Bounds: obs.LatencyBuckets, Counts: counts}.Quantile(q)
+	return time.Duration(math.Round(sec * float64(time.Second)))
+}
+
+// observe buckets d exactly as an obs.Histogram over obs.LatencyBuckets
+// would bucket d.Seconds().
+func (s *StageMetrics) observe(d time.Duration) {
+	if s.Buckets == nil {
+		s.Buckets = make([]int, len(obs.LatencyBuckets)+1)
 	}
 	s.Count++
 	s.Total += d
+	sec := d.Seconds()
 	i := 0
-	for i < len(metricBuckets) && d > metricBuckets[i] {
+	for i < len(obs.LatencyBuckets) && sec > obs.LatencyBuckets[i] {
 		i++
 	}
 	s.Buckets[i]++
@@ -224,14 +233,14 @@ func (m *MetricsObserver) Snapshot() MetricsSnapshot {
 	out := m.snap
 	out.Stages = make(map[string]StageMetrics, len(m.snap.Stages))
 	for k, v := range m.snap.Stages {
-		out.Stages[k] = v
+		out.Stages[k] = StageMetrics{v.Count, v.Total, slices.Clone(v.Buckets)}
 	}
 	return out
 }
 
 // Render produces a compact text report of the snapshot: the flow and level
-// counters, then one line per stage with count, total/mean/min/max and the
-// non-empty histogram buckets.
+// counters, then one line per stage with count, total/mean and the p50/p99
+// estimates, and its non-empty histogram buckets.
 func (s MetricsSnapshot) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "flows: %d started, %d done, %d failed; levels %d, pairs %d, flips %d, reused %d\n",
@@ -242,20 +251,21 @@ func (s MetricsSnapshot) Render() string {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	bounds := HistogramBounds()
 	for _, name := range names {
 		sm := s.Stages[name]
-		fmt.Fprintf(&b, "%-11s n=%-5d total=%-10v mean=%-9v min=%-9v max=%v\n",
+		fmt.Fprintf(&b, "%-11s n=%-5d total=%-10v mean=%-9v p50=%-9v p99=%v\n",
 			name, sm.Count, sm.Total.Round(time.Microsecond), sm.Mean().Round(time.Microsecond),
-			sm.Min.Round(time.Microsecond), sm.Max.Round(time.Microsecond))
+			sm.Quantile(0.50).Round(time.Microsecond), sm.Quantile(0.99).Round(time.Microsecond))
 		var hist []string
 		for i, n := range sm.Buckets {
 			if n == 0 {
 				continue
 			}
-			if i < len(metricBuckets) {
-				hist = append(hist, fmt.Sprintf("<=%v: %d", metricBuckets[i], n))
+			if i < len(bounds) {
+				hist = append(hist, fmt.Sprintf("<=%v: %d", bounds[i], n))
 			} else {
-				hist = append(hist, fmt.Sprintf(">%v: %d", metricBuckets[len(metricBuckets)-1], n))
+				hist = append(hist, fmt.Sprintf(">%v: %d", bounds[len(bounds)-1], n))
 			}
 		}
 		if len(hist) > 0 {

@@ -237,7 +237,7 @@ func TestMetricsObserver(t *testing.T) {
 		if !ok || sm.Count != res.Levels {
 			t.Errorf("stage %s count = %d, want one per level (%d)", stage, sm.Count, res.Levels)
 		}
-		if sm.Total < sm.Max || sm.Max < sm.Min {
+		if sm.Total <= 0 || sm.Quantile(0.50) > sm.Quantile(0.99) {
 			t.Errorf("stage %s aggregates inconsistent: %+v", stage, sm)
 		}
 		histTotal := 0

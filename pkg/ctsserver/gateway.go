@@ -215,36 +215,6 @@ func (g *Gateway) MemberFor(key string) string {
 	return g.ring.owner(key)
 }
 
-// newGatewayMetrics builds the gateway's own metric surface (merged with the
-// members' expositions by handleMetrics).
-func newGatewayMetrics(g *Gateway) *obs.Registry {
-	r := obs.NewRegistry()
-	r.NewGauge("ctsd_gateway_uptime_seconds", "Seconds since the gateway started.").
-		Func(func() float64 { return time.Since(g.start).Seconds() })
-	up := r.NewGauge("ctsd_gateway_member_up", "Per-member health (1 up, 0 down).", "member")
-	for _, m := range g.ring.members {
-		member := m
-		up.Func(func() float64 {
-			if g.isHealthy(member) {
-				return 1
-			}
-			return 0
-		}, member)
-	}
-	r.NewCounter("ctsd_gateway_jobs_submitted_total", "Jobs accepted at the gateway.").
-		Func(func() float64 { return float64(g.submitted.Load()) })
-	r.NewCounter("ctsd_gateway_jobs_rerouted_total",
-		"Dispatches that left the ring owner for a further replica.").
-		Func(func() float64 { return float64(g.rerouted.Load()) })
-	r.NewGauge("ctsd_gateway_jobs", "Jobs the gateway currently remembers.").
-		Func(func() float64 {
-			g.mu.Lock()
-			defer g.mu.Unlock()
-			return float64(len(g.jobs))
-		})
-	return r
-}
-
 // healthLoop probes every member each interval until Close.
 func (g *Gateway) healthLoop() {
 	defer close(g.done)
@@ -725,177 +695,97 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, Health{Status: "ok"})
 }
 
-// memberStats polls one member's /v1/stats.
-func (g *Gateway) memberStats(member string) MemberStatus {
-	var st Stats
-	if _, err := g.call(http.MethodGet, member, "/v1/stats", nil, nil, &st); err != nil {
-		return MemberStatus{URL: member, Error: err.Message}
+// memberMetrics scrapes and strictly parses one member's /metrics.
+func (g *Gateway) memberMetrics(member string) (*obs.ParsedMetrics, error) {
+	resp, err := g.client.Get(member + "/metrics")
+	if err != nil {
+		g.markDown(member)
+		return nil, err
 	}
-	return MemberStatus{URL: member, Healthy: true, Stats: &st}
+	defer resp.Body.Close()
+	m, err := obs.ParseText(io.LimitReader(resp.Body, maxRequestBytes))
+	if err != nil {
+		g.log.Warn("member exposition unparsable", "member", member, "error", err)
+		return nil, fmt.Errorf("member %s: unparsable /metrics: %w", member, err)
+	}
+	return m, nil
+}
+
+// scrape is the gateway's one scrape-and-merge, behind both GET /metrics and
+// GET /v1/stats: it reads every member's /metrics concurrently and sums the
+// parsable expositions with the gateway's own registry (see obs.MergeParsed:
+// counters and gauges add, histogram buckets merge exactly).  With a
+// non-nil members slice it also polls each member's /v1/stats into it, and a
+// member counts only if it answered both, so the merge sums exactly the
+// members listed healthy.  An unreachable member is absent from the sums.
+func (g *Gateway) scrape(members []MemberStatus) (*obs.ParsedMetrics, error) {
+	parts := make([]*obs.ParsedMetrics, len(g.ring.members)+1)
+	parts[0] = g.reg.Gather()
+	g.fanOut(func(i int, m string) {
+		if members != nil {
+			var st Stats
+			if _, err := g.call(http.MethodGet, m, "/v1/stats", nil, nil, &st); err != nil {
+				members[i] = MemberStatus{URL: m, Error: err.Message}
+				return
+			}
+			members[i] = MemberStatus{URL: m, Healthy: true, Stats: &st}
+		}
+		p, err := g.memberMetrics(m)
+		switch {
+		case err == nil:
+			parts[i+1] = p
+		case members != nil:
+			members[i] = MemberStatus{URL: m, Error: err.Error()}
+		}
+	})
+	return obs.MergeParsed(parts...)
 }
 
 // handleStats implements GET /v1/stats on the gateway: the per-member and
 // merged cluster view.  Members are polled live (concurrently), so the
 // response reflects reality, health-probe lag included — a member that died
 // a millisecond ago reports unhealthy here even if the last probe liked it.
+// The gateway's own numbers and the merged view are read off the same merge
+// GET /metrics serves.
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	members := make([]MemberStatus, len(g.ring.members))
-	g.fanOut(func(i int, m string) { members[i] = g.memberStats(m) })
-	healthy := 0
-	for _, m := range members {
-		if m.Healthy {
-			healthy++
-		}
-	}
-	g.mu.Lock()
-	jobs := len(g.jobs)
-	g.mu.Unlock()
-	writeJSON(w, http.StatusOK, ClusterStats{
-		Gateway: GatewayStats{
-			Members:       len(g.ring.members),
-			Healthy:       healthy,
-			Submitted:     g.submitted.Load(),
-			Rerouted:      g.rerouted.Load(),
-			Jobs:          jobs,
-			UptimeSeconds: time.Since(g.start).Seconds(),
-		},
-		Members: members,
-		Merged:  mergeMemberStats(members),
-	})
-}
-
-// mergeMemberStats sums the healthy members' stats into the cluster-wide
-// view.  Counters and occupancy gauges add; UptimeSeconds is the oldest
-// member's; Latency is omitted (percentiles do not sum — the gateway's
-// /metrics carries the exactly-merged histograms instead).
-func mergeMemberStats(members []MemberStatus) Stats {
-	var out Stats
-	out.Scheduler.QueuedByPriority = map[Priority]int{}
-	out.Metrics.Stages = map[string]cts.StageMetrics{}
-	for _, m := range members {
-		if !m.Healthy || m.Stats == nil {
-			continue
-		}
-		st := m.Stats
-		out.Scheduler.Workers += st.Scheduler.Workers
-		out.Scheduler.QueueDepth += st.Scheduler.QueueDepth
-		out.Scheduler.Queued += st.Scheduler.Queued
-		for p, n := range st.Scheduler.QueuedByPriority {
-			out.Scheduler.QueuedByPriority[p] += n
-		}
-		out.Scheduler.Running += st.Scheduler.Running
-		out.Scheduler.Submitted += st.Scheduler.Submitted
-		out.Scheduler.Completed += st.Scheduler.Completed
-		out.Scheduler.Failed += st.Scheduler.Failed
-		out.Scheduler.Canceled += st.Scheduler.Canceled
-		out.Scheduler.Expired += st.Scheduler.Expired
-		out.Scheduler.Rejected += st.Scheduler.Rejected
-		out.Scheduler.CacheHits += st.Scheduler.CacheHits
-		out.Scheduler.Draining = out.Scheduler.Draining || st.Scheduler.Draining
-		mergeCacheStats(&out.Cache, &st.Cache)
-		mergeMetricsSnapshots(&out.Metrics, &st.Metrics)
-		if st.UptimeSeconds > out.UptimeSeconds {
-			out.UptimeSeconds = st.UptimeSeconds
-		}
-		out.Goroutines += st.Goroutines
-	}
-	return out
-}
-
-// mergeCacheStats sums one member's cache counters into the cluster view
-// (the per-member Disk snapshots stay per-member; only the tier counters
-// merge).
-func mergeCacheStats(out, in *CacheStats) {
-	out.Entries += in.Entries
-	out.Bytes += in.Bytes
-	out.MaxBytes += in.MaxBytes
-	out.Hits += in.Hits
-	out.MemoryHits += in.MemoryHits
-	out.DiskHits += in.DiskHits
-	out.PeerHits += in.PeerHits
-	out.Misses += in.Misses
-	out.Evictions += in.Evictions
-	if in.Subtrees != nil {
-		if out.Subtrees == nil {
-			out.Subtrees = &SubtreeStats{}
-		}
-		out.Subtrees.Entries += in.Subtrees.Entries
-		out.Subtrees.Bytes += in.Subtrees.Bytes
-		out.Subtrees.MaxBytes += in.Subtrees.MaxBytes
-		out.Subtrees.MemoryHits += in.Subtrees.MemoryHits
-		out.Subtrees.DiskHits += in.Subtrees.DiskHits
-		out.Subtrees.PeerHits += in.Subtrees.PeerHits
-		out.Subtrees.Misses += in.Subtrees.Misses
-		out.Subtrees.Evictions += in.Subtrees.Evictions
-	}
-}
-
-// mergeMetricsSnapshots sums one member's synthesis metrics into the cluster
-// view.
-func mergeMetricsSnapshots(out, in *cts.MetricsSnapshot) {
-	out.FlowsStarted += in.FlowsStarted
-	out.FlowsDone += in.FlowsDone
-	out.FlowsFailed += in.FlowsFailed
-	out.Levels += in.Levels
-	out.Pairs += in.Pairs
-	out.Flips += in.Flips
-	out.Reused += in.Reused
-	for name, sm := range in.Stages {
-		agg := out.Stages[name]
-		if agg.Count == 0 || (sm.Count > 0 && sm.Min < agg.Min) {
-			agg.Min = sm.Min
-		}
-		if sm.Max > agg.Max {
-			agg.Max = sm.Max
-		}
-		agg.Count += sm.Count
-		agg.Total += sm.Total
-		for i := range sm.Buckets {
-			agg.Buckets[i] += sm.Buckets[i]
-		}
-		out.Stages[name] = agg
-	}
-}
-
-// handleMetrics implements GET /metrics on the gateway: the gateway's own
-// registry merged with every reachable member's exposition.  Counter and
-// gauge samples with identical name+labels sum across members, and
-// histogram buckets merge exactly (identical bounds, cumulative counts
-// add), so cluster-wide percentiles computed from this exposition are true
-// percentiles, not averages of averages.  Unreachable members are simply
-// absent from the sums.
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var own bytes.Buffer
-	if err := g.reg.WritePrometheus(&own); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	parts := make([]*obs.ParsedMetrics, 1, len(g.ring.members)+1)
-	parsedOwn, err := obs.ParseText(&own)
+	m, err := g.scrape(members)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	parts[0] = parsedOwn
-	for _, m := range g.ring.members {
-		resp, err := g.client.Get(m + "/metrics")
-		if err != nil {
-			g.markDown(m)
-			continue
-		}
-		p, perr := obs.ParseText(io.LimitReader(resp.Body, maxRequestBytes))
-		resp.Body.Close()
-		if perr != nil {
-			g.log.Warn("member exposition unparsable", "member", m, "error", perr)
-			continue
-		}
-		parts = append(parts, p)
+	own := func(name string) float64 { v, _ := m.Value(name, nil); return v }
+	cs := ClusterStats{
+		Gateway: GatewayStats{
+			Members:       len(members),
+			Submitted:     int64(own("ctsd_gateway_jobs_submitted_total")),
+			Rerouted:      int64(own("ctsd_gateway_jobs_rerouted_total")),
+			Jobs:          int(own("ctsd_gateway_jobs")),
+			UptimeSeconds: own("ctsd_gateway_uptime_seconds"),
+		},
+		Members: members,
+		Merged:  statsFromMetrics(m),
 	}
-	merged, err := obs.MergeParsed(parts...)
+	// Percentiles do not sum (the merged histograms are in /metrics), and
+	// the cluster is as old as its oldest member.
+	cs.Merged.Latency, cs.Merged.UptimeSeconds = nil, 0
+	for _, ms := range members {
+		if ms.Healthy {
+			cs.Gateway.Healthy++
+			cs.Merged.UptimeSeconds = max(cs.Merged.UptimeSeconds, ms.Stats.UptimeSeconds)
+		}
+	}
+	writeJSON(w, http.StatusOK, cs)
+}
+
+// handleMetrics implements GET /metrics on the gateway: the merged
+// exposition, whose histograms give true cluster-wide percentiles.
+func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	m, err := g.scrape(nil)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", obs.ContentType)
-	_ = obs.WriteText(w, merged)
+	_ = obs.WriteText(w, m)
 }

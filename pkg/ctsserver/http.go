@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"time"
 
 	"repro/internal/obs"
@@ -307,27 +306,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.obsm.reg.WritePrometheus(w)
 }
 
-// handleStats implements GET /v1/stats.
+// handleStats implements GET /v1/stats: the registry's numbers, plus the
+// disk tiers' snapshots, which are not series.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	rs := s.cache.stats()
-	cache := CacheStats{
-		Entries: rs.Entries, Bytes: rs.Bytes, MaxBytes: rs.MaxBytes,
-		Hits:       rs.MemoryHits + rs.DiskHits,
-		MemoryHits: rs.MemoryHits, DiskHits: rs.DiskHits, PeerHits: rs.PeerHits,
-		Misses: rs.Misses, Evictions: rs.Evictions, Disk: rs.Disk,
+	st := statsFromMetrics(s.obsm.reg.Gather())
+	st.Cache.Disk = s.cache.stats().Disk
+	if st.Cache.Subtrees != nil {
+		st.Cache.Subtrees.Disk = s.subtrees.stats().Disk
 	}
-	if s.subtrees != nil {
-		st := s.subtrees.stats()
-		cache.Subtrees = &st
-	}
-	writeJSON(w, http.StatusOK, Stats{
-		Scheduler:     s.sched.stats(),
-		Cache:         cache,
-		Metrics:       s.metrics.Snapshot(),
-		UptimeSeconds: time.Since(s.obsm.start).Seconds(),
-		Goroutines:    runtime.NumGoroutine(),
-		Latency:       s.obsm.latencySummaries(),
-	})
+	writeJSON(w, http.StatusOK, st)
 }
 
 // handleHealth implements GET /healthz; a draining server reports 503 so

@@ -19,9 +19,8 @@ import (
 // canceled before it starts releases its slot immediately, even though its
 // dead entry stays in the heap until a worker pops and skips it.
 type scheduler struct {
-	workers int
-	depth   int
-	run     func(*job)
+	depth int
+	run   func(*job)
 	// expireQueued drives a popped job whose deadline has already passed to
 	// the expired terminal state; it reports whether it won that transition
 	// (a racing DELETE may have canceled the job first).
@@ -87,7 +86,6 @@ func (q *jobQueue) Pop() any {
 // deadline passed while it waited in the queue.
 func newScheduler(workers, depth int, run func(*job), expireQueued func(*job) bool) *scheduler {
 	s := &scheduler{
-		workers:      workers,
 		depth:        depth,
 		run:          run,
 		expireQueued: expireQueued,
@@ -235,32 +233,5 @@ func (s *scheduler) drain(ctx context.Context, cancelAll func()) error {
 		cancelAll()
 		<-done
 		return ctx.Err()
-	}
-}
-
-// stats snapshots the scheduler counters.
-func (s *scheduler) stats() SchedulerStats {
-	s.mu.Lock()
-	queued, running, draining := s.queuedLive, s.running, s.draining
-	byPrio := map[Priority]int{
-		PriorityLow:    s.byPriority[PriorityLow.rank()],
-		PriorityNormal: s.byPriority[PriorityNormal.rank()],
-		PriorityHigh:   s.byPriority[PriorityHigh.rank()],
-	}
-	s.mu.Unlock()
-	return SchedulerStats{
-		Workers:          s.workers,
-		QueueDepth:       s.depth,
-		Queued:           queued,
-		QueuedByPriority: byPrio,
-		Running:          running,
-		Submitted:        s.submitted.Load(),
-		Completed:        s.completed.Load(),
-		Failed:           s.failed.Load(),
-		Canceled:         s.canceled.Load(),
-		Expired:          s.expired.Load(),
-		Rejected:         s.rejected.Load(),
-		CacheHits:        s.cacheHits.Load(),
-		Draining:         draining,
 	}
 }

@@ -433,7 +433,6 @@ func (s *Server) buildFlow(req JobRequest, j func() *job) (*cts.Flow, error) {
 	opts = append(opts,
 		cts.WithObserver(func(e cts.Event) {
 			s.metrics.Observe(e)
-			s.obsm.observeStage(e)
 			if jb := j(); jb != nil {
 				jb.trace.observe(e)
 				jb.appendFlow(e.Wire())

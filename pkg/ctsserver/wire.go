@@ -486,8 +486,8 @@ type GatewayStats struct {
 type MemberStatus struct {
 	// URL is the member's base URL (its ring identity).
 	URL string `json:"url"`
-	// Healthy reports whether the member answered the stats poll; a degraded
-	// member has Healthy false, an Error, and no Stats.
+	// Healthy reports whether the member answered the stats and metrics
+	// polls; a degraded member has Healthy false, an Error, and no Stats.
 	Healthy bool `json:"healthy"`
 	// Error describes why an unhealthy member could not be polled.
 	Error string `json:"error,omitempty"`
@@ -497,10 +497,10 @@ type MemberStatus struct {
 
 // ClusterStats is the body of GET /v1/stats on a gateway: the gateway's own
 // routing counters, each member's status and stats, and a merged view that
-// sums the members' counters.  Merged omits the per-priority Latency map —
-// percentiles cannot be summed from summaries; cluster-wide percentiles come
-// from the gateway's /metrics, where the members' histogram buckets merge
-// exactly.
+// sums the members' counters, read off the merge the gateway's /metrics
+// serves.  Merged omits the per-priority Latency map — percentiles cannot be
+// summed from summaries; cluster-wide percentiles come from the gateway's
+// /metrics, where the members' histogram buckets merge exactly.
 type ClusterStats struct {
 	// Gateway is the gateway's own routing summary.
 	Gateway GatewayStats `json:"gateway"`

@@ -36,12 +36,6 @@ func (p Point) Manhattan(q Point) float64 {
 	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
 }
 
-// Euclidean returns the L2 distance between p and q.
-func (p Point) Euclidean(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return math.Hypot(dx, dy)
-}
-
 // Lerp returns the point at parameter t on the straight segment from p to q,
 // with t=0 yielding p and t=1 yielding q.
 func (p Point) Lerp(q Point, t float64) Point {

@@ -107,12 +107,8 @@ func (m *ParsedMetrics) Histogram(name string, labels map[string]string) (*Parse
 	if err != nil {
 		return nil, false
 	}
-	for key, h := range series {
-		if key == histogramSeriesKey(labels) {
-			return h, true
-		}
-	}
-	return nil, false
+	h, ok := series[histogramSeriesKey(labels)]
+	return h, ok
 }
 
 // labelsEqual compares two label sets, treating nil as empty.
@@ -353,16 +349,19 @@ func parseValue(s string) (float64, error) {
 // histogramSeriesKey builds the grouping key for one histogram series: its
 // labels minus "le", in sorted order.
 func histogramSeriesKey(labels map[string]string) string {
-	keys := make([]string, 0, len(labels))
+	keys := make([]string, 0, 4) // fixed capacity: on the stack for the usual one or two labels
+	n := 0
 	//ctslint:allow determinism -- collect-then-sort: keys are sorted immediately below, so the range order cannot escape
-	for k := range labels {
+	for k, v := range labels {
 		if k == "le" {
 			continue
 		}
 		keys = append(keys, k)
+		n += len(k) + len(v) + 2
 	}
 	sort.Strings(keys)
 	var b strings.Builder
+	b.Grow(n)
 	for _, k := range keys {
 		b.WriteString(k)
 		b.WriteByte('=')

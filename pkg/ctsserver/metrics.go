@@ -53,7 +53,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	r.NewGauge("ctsd_queue_limit", "Queued-job bound; submissions beyond it get 429.").
 		Func(func() float64 { return float64(s.opts.QueueDepth) })
 	r.NewGauge("ctsd_draining", "1 while intake is stopped for shutdown, else 0.").
-		Func(func() float64 { return flag(s.sched.isDraining()) })
+		Func(func() float64 { return oneIf(s.sched.isDraining()) })
 	r.NewCounter("ctsd_jobs_submitted_total", "Jobs admitted, including born-terminal ones.").
 		Func(func() float64 { return float64(s.sched.submitted.Load()) })
 	r.NewCounter("ctsd_jobs_rejected_total", "Submissions bounced at admission (queue full).").
@@ -165,8 +165,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 	return m
 }
 
-// flag renders a condition as a gauge value: 1 when it holds, else 0.
-func flag(ok bool) float64 {
+// oneIf renders a condition as a gauge value: 1 when it holds, else 0.
+func oneIf(ok bool) float64 {
 	if ok {
 		return 1
 	}
@@ -192,7 +192,7 @@ func newGatewayMetrics(g *Gateway) *obs.Registry {
 		Func(func() float64 { return time.Since(g.start).Seconds() })
 	up := r.NewGauge("ctsd_gateway_member_up", "Per-member health (1 up, 0 down).", "member")
 	for _, member := range g.ring.members {
-		up.Func(func() float64 { return flag(g.isHealthy(member)) }, member)
+		up.Func(func() float64 { return oneIf(g.isHealthy(member)) }, member)
 	}
 	r.NewCounter("ctsd_gateway_jobs_submitted_total", "Jobs accepted at the gateway.").
 		Func(func() float64 { return float64(g.submitted.Load()) })

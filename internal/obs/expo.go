@@ -14,11 +14,10 @@ import (
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // Gather snapshots every registered family, in registration order, into the
-// form ParseText and MergeParsed produce: one sample per counter or gauge
-// series, and per histogram series its cumulative _bucket samples ending in
-// le="+Inf", then _sum and _count.  Func series are read here.  The read is
-// consistent per series, not across the registry — standard scrape
-// semantics.
+// form ParseText and MergeParsed produce (a histogram series becomes its
+// cumulative _bucket samples ending in le="+Inf", then _sum and _count),
+// reading Func series here.  The read is consistent per series, not across
+// the registry — standard scrape semantics.
 func (r *Registry) Gather() *ParsedMetrics {
 	m := &ParsedMetrics{byName: map[string]*ParsedFamily{}}
 	for _, f := range r.snapshotFamilies() {

@@ -115,9 +115,8 @@ func (g *Gauge) Add(delta float64) { (*Value)(g).Add(delta) }
 func (g *Gauge) Value() float64 { return (*Value)(g).Load() }
 
 // series is one label-value combination of a family.  read (counters and
-// gauges) or readHist (histograms) produces its value at scrape time; for
-// an owned series it reads value or hist, for a Func series it is the
-// caller's function.
+// gauges) or readHist (histograms) yields its value at scrape time: a read
+// of value or hist for an owned series, the caller's function for a Func.
 type series struct {
 	labelValues []string
 	value       *Value     // owned counter/gauge series (nil for a Func)
@@ -228,9 +227,7 @@ func (v GaugeVec) With(values ...string) *Gauge {
 }
 
 // Func registers a read-at-scrape gauge series.
-func (v GaugeVec) Func(fn func() float64, values ...string) {
-	v.f.seriesFor(values, &series{read: fn})
-}
+func (v GaugeVec) Func(fn func() float64, values ...string) { v.f.seriesFor(values, &series{read: fn}) }
 
 // HistogramVec is a histogram family handle; With instantiates one series.
 type HistogramVec struct{ f *Family }

@@ -137,9 +137,8 @@ func ParseText(r io.Reader) (*ParsedMetrics, error) {
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		// Carriage returns ending a line are dropped, all of them: a HELP
-		// text ending in one could not be written back (WriteText ends
-		// lines with a bare newline, and one \r before it would go too).
+		// Drop every carriage return ending a line: WriteText could not
+		// write back a HELP text that ends in one.
 		line := strings.TrimRight(sc.Text(), "\r")
 		if strings.TrimSpace(line) == "" {
 			continue

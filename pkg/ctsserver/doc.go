@@ -101,36 +101,25 @@
 //
 // The one non-JSON endpoint: the server's metric registry in Prometheus
 // text exposition format 0.0.4 (Content-Type "text/plain; version=0.0.4").
-// Series are prefixed ctsd_: uptime and goroutines; the scheduler's bounds
-// (ctsd_workers, ctsd_queue_limit), ctsd_draining (1 while draining),
-// admission and terminal-state counters, queue depth and running-job
-// gauges; per cache tier (ctsd_cache_*, ctsd_subtree_cache_*) hits per
-// level, misses, evictions and the memory level's entries, bytes and
-// max_bytes; the synthesis counters of every job's observer stream
-// (ctsd_flows_total by event started/done/failed, ctsd_flow_levels_total,
-// ctsd_flow_pairs_total, ctsd_flow_flips_total,
-// ctsd_flow_reused_merges_total); merge-arena recycling and the merge
-// router's deterministic work count (ctsd_mergeroute_cells_expanded_total);
-// and histograms: ctsd_job_queue_wait_seconds, ctsd_job_run_seconds and
+// Series are prefixed ctsd_ — the scheduler's bounds (ctsd_workers,
+// ctsd_queue_limit), ctsd_draining, admission and terminal-state counters,
+// queue depth and running-job gauges; per cache tier (ctsd_cache_*,
+// ctsd_subtree_cache_*) hits per level, misses, evictions, entries, bytes
+// and max_bytes; the observer stream's ctsd_flows_total{event} and
+// ctsd_flow_{levels,pairs,flips,reused_merges}_total; merge-arena
+// recycling, the merge router's deterministic work count
+// (ctsd_mergeroute_cells_expanded_total); and latency histograms:
+// ctsd_job_queue_wait_seconds, ctsd_job_run_seconds and
 // ctsd_job_e2e_seconds labeled by priority (observed once per job at its
 // terminal transition; born-terminal jobs observe only e2e) plus
-// ctsd_stage_seconds labeled by stage (every pipeline stage, empty until it
-// runs).  Every histogram ends in a le="+Inf" bucket;
-// repro/internal/obs.ParseText parses the exposition strictly and is what
-// cmd/ctsload and the package's own tests use.
+// ctsd_stage_seconds labeled by stage.  Every histogram ends in a
+// le="+Inf" bucket; repro/internal/obs.ParseText parses the exposition
+// strictly and is what cmd/ctsload and the package's own tests use.
 //
-// # GET /v1/stats
-//
-// Stats is rendered from the same registry: every number in it but the
-// disk snapshots (cache.disk, cache.subtrees.disk) is one of the series
-// above, read at request time, so the two endpoints reconcile exactly —
-// counters, histogram counts and sums, and bucket-interpolated percentiles.
-// cache.subtrees is null exactly when the subtree tier is disabled, and
-// metrics.Stages lists only the stages that ran.  Each cts.StageMetrics
-// carries Count, Total and 16 Buckets on ctsd_stage_seconds' grid
-// (repro/internal/obs.LatencyBuckets plus overflow); this is a wire change
-// from the earlier 13-bucket grid, and StageMetrics no longer has Min or
-// Max.
+// GET /v1/stats renders the same registry (plus the disk snapshots, which
+// are not series), so the two reconcile exactly.  Wire change: a
+// cts.StageMetrics has no Min or Max, and its 16 Buckets follow
+// ctsd_stage_seconds (obs.LatencyBuckets plus overflow).
 //
 // # Scheduling: priorities and deadlines
 //
@@ -290,15 +279,11 @@
 // On a gateway, GET /v1/stats answers ClusterStats instead of Stats: the
 // gateway's own routing counters (gateway), every member's health and
 // Stats (members — a dead member has healthy false, an error and no
-// stats), and a merged view (merged).  The gateway polls every member's
-// /v1/stats and /metrics concurrently, and a member counts as healthy only
-// if it answered both.  merged is rendered by the code that renders a
-// member's Stats, from the same merge the gateway's GET /metrics serves:
-// the members' expositions summed exactly (histogram buckets add) together
-// with the gateway's own ctsd_gateway_* series, which the gateway block is
-// read from too.  So merged counters and occupancy gauges are the sums over
-// the healthy members, draining is their OR, uptimeSeconds is the oldest
-// member's, and the per-priority latency block and the disk snapshots are
-// omitted — percentiles cannot be summed from summaries; cluster-wide
-// percentiles come from the gateway's GET /metrics.
+// stats; a member counts as healthy only if it answered both its
+// /v1/stats and /metrics polls), and a merged view read off the same
+// merge the gateway's GET /metrics serves (merged: sums over the healthy
+// members, draining their OR, the oldest member's uptime; its latency
+// block and disk snapshots are omitted, since percentiles cannot be
+// summed — cluster-wide percentiles come from GET /metrics, whose
+// histogram buckets merge exactly).
 package ctsserver

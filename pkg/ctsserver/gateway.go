@@ -711,13 +711,11 @@ func (g *Gateway) memberMetrics(member string) (*obs.ParsedMetrics, error) {
 	return m, nil
 }
 
-// scrape is the gateway's one scrape-and-merge, behind both GET /metrics and
+// scrape is the gateway's one scrape-and-merge, behind GET /metrics and
 // GET /v1/stats: it reads every member's /metrics concurrently and sums the
-// parsable expositions with the gateway's own registry (see obs.MergeParsed:
-// counters and gauges add, histogram buckets merge exactly).  With a
-// non-nil members slice it also polls each member's /v1/stats into it, and a
-// member counts only if it answered both, so the merge sums exactly the
-// members listed healthy.  An unreachable member is absent from the sums.
+// parsable expositions with the gateway's own registry.  Given members, it
+// also polls each member's /v1/stats into it and sums only the members that
+// answered both, so the merge covers exactly the members listed healthy.
 func (g *Gateway) scrape(members []MemberStatus) (*obs.ParsedMetrics, error) {
 	parts := make([]*obs.ParsedMetrics, len(g.ring.members)+1)
 	parts[0] = g.reg.Gather()
@@ -741,12 +739,10 @@ func (g *Gateway) scrape(members []MemberStatus) (*obs.ParsedMetrics, error) {
 	return obs.MergeParsed(parts...)
 }
 
-// handleStats implements GET /v1/stats on the gateway: the per-member and
-// merged cluster view.  Members are polled live (concurrently), so the
-// response reflects reality, health-probe lag included — a member that died
-// a millisecond ago reports unhealthy here even if the last probe liked it.
-// The gateway's own numbers and the merged view are read off the same merge
-// GET /metrics serves.
+// handleStats implements GET /v1/stats on the gateway.  Members are polled
+// live, so a member that died a millisecond ago reports unhealthy here even
+// if the last probe liked it; the gateway's own numbers and the merged view
+// are read off the same merge GET /metrics serves.
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	members := make([]MemberStatus, len(g.ring.members))
 	m, err := g.scrape(members)

@@ -208,13 +208,10 @@ func newGatewayMetrics(g *Gateway) *obs.Registry {
 	return r
 }
 
-// statsFromMetrics renders the GET /v1/stats body from an exposition: a
-// member's own Gather, or the gateway's merge of its members' /metrics.
-// Every number is one ctsd_* series, so /v1/stats and /metrics cannot
-// disagree; a /v1/stats number is a series first and a line here second.
-// The disk snapshots are not series: the member adds them, and the merged
-// view has none.  Subtrees is nil when no tier has a budget, that is, when
-// the tier is disabled.
+// statsFromMetrics renders the GET /v1/stats body from an exposition, a
+// member's own Gather or the gateway's merge, so /v1/stats and /metrics
+// cannot disagree.  The disk snapshots are not series: the member adds
+// them.  Subtrees is nil when no tier has a budget (the tier is disabled).
 func statsFromMetrics(m *obs.ParsedMetrics) Stats {
 	val := func(name string, label ...string) float64 {
 		var labels map[string]string

@@ -134,10 +134,10 @@ func newServerMetrics(s *Server) *serverMetrics {
 		Func(func() float64 { return float64(s.metrics.Snapshot().Flips) })
 	r.NewCounter("ctsd_flow_reused_merges_total", "Merges served from the subtree cache across all runs.").
 		Func(func() float64 { return float64(s.metrics.Snapshot().Reused) })
-	stageDur := r.NewHistogram("ctsd_stage_seconds",
+	stageSeconds := r.NewHistogram("ctsd_stage_seconds",
 		"Synthesis stage duration (per level for the leveled stages).", obs.LatencyBuckets, "stage")
 	for _, name := range stages {
-		stageDur.Func(func() obs.HistogramSnapshot {
+		stageSeconds.Func(func() obs.HistogramSnapshot {
 			sm := s.metrics.Snapshot().Stages[name]
 			counts := make([]uint64, len(obs.LatencyBuckets)+1)
 			for i, n := range sm.Buckets {

@@ -168,3 +168,27 @@ func TestStatsFieldsMatchSources(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStatsSubtreesNullWhenDisabled pins cache.subtrees to null on a server
+// whose subtree tier is disabled, with every other field still matching its
+// source.
+func TestStatsSubtreesNullWhenDisabled(t *testing.T) {
+	srv, cl := newTestServer(t, Options{Workers: 1, QueueDepth: 4, SubtreeCacheBytes: -1})
+	ctx := context.Background()
+	st, err := cl.Submit(ctx, scaledRequest(t, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitTerminal(t, cl, st.ID); fin.State != StateDone {
+		t.Fatalf("job ended %s: %s", fin.State, fin.Error)
+	}
+	waitFor(t, "idle workers", func() bool { _, running, _ := srv.sched.gauges(); return running == 0 })
+	stats, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStatsSources(t, srv, stats)
+	if stats.Cache.Subtrees != nil {
+		t.Errorf("cache.subtrees = %+v with the tier disabled, want null", stats.Cache.Subtrees)
+	}
+}

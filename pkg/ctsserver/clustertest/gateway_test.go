@@ -292,6 +292,8 @@ func TestGatewayRejectsBeforeDispatch(t *testing.T) {
 		{"bad settings", enc(badSettings), http.StatusBadRequest, ctsserver.ErrBadSetting, -1},
 		{"duplicate sink", enc(dup), http.StatusBadRequest, cts.SinkErrDuplicateName, len(good.Sinks)},
 		{"undecodable body", []byte(`{"sinks": [`), http.StatusBadRequest, ctsserver.ErrBadRequest, -1},
+		{"trailing garbage", append(enc(good), " trailing garbage"...), http.StatusBadRequest, ctsserver.ErrBadRequest, -1},
+		{"two objects", append(enc(good), `{"sinks":[]}`...), http.StatusBadRequest, ctsserver.ErrBadRequest, -1},
 		{"unknown base", enc(unknownBase), http.StatusNotFound, ctsserver.ErrUnknownBase, -1},
 	} {
 		code, _, data := rawCall(t, http.MethodPost, c.GatewayURL+"/v1/jobs", tc.body)

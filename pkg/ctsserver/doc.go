@@ -28,7 +28,11 @@
 // the scheduling fields priority ("low", "normal", "high"; absent means
 // "normal") and deadline (RFC 3339; absent means none), and an optional
 // baseJob id for incremental resubmission (see Incremental synthesis
-// below).  Responses:
+// below).  The body must be exactly one JSON object: bytes after it,
+// whitespace aside, are a 400.  It decodes exactly as json.Unmarshal
+// decodes it into a JobRequest, so keys match as encoding/json matches
+// them (case-insensitively, the last of a repeated key winning); the
+// exact-case spelling of each key, once, is the fast path.  Responses:
 //
 //	202 Accepted  the job was queued; the JobStatus carries its id
 //	200 OK        the job was born terminal: either a cache hit (state

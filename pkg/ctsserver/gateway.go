@@ -427,11 +427,9 @@ func (g *Gateway) redispatch(j *gwJob) bool {
 // the base, the baseJob field is dropped and the request ring-routes as a
 // plain run (correct, just cold).
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, &APIError{HTTPStatus: http.StatusBadRequest, Code: ErrBadRequest,
-			Message: fmt.Sprintf("decoding request: %v", err)})
+	req, apiErr := readJobRequest(w, r)
+	if apiErr != nil {
+		writeError(w, apiErr)
 		return
 	}
 	sinks := SinksToCTS(req.Sinks)
@@ -477,7 +475,6 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	var st *JobStatus
 	var code int
-	var apiErr *APIError
 	if affinity != "" {
 		st, code, apiErr = g.forwardSubmit(j, affinityBody, affinity)
 	}

@@ -93,11 +93,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			Code: ErrDraining, Message: "server is draining, not accepting new jobs"})
 		return
 	}
-	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, &APIError{HTTPStatus: http.StatusBadRequest, Code: ErrBadRequest,
-			Message: fmt.Sprintf("decoding request: %v", err)})
+	req, apiErr := readJobRequest(w, r)
+	if apiErr != nil {
+		writeError(w, apiErr)
 		return
 	}
 	if s.opts.MaxSinks > 0 && len(req.Sinks) > s.opts.MaxSinks {

@@ -280,10 +280,14 @@ func TestValidationErrors(t *testing.T) {
 	// JSON cannot even carry non-finite numbers, so an out-of-range
 	// coordinate surfaces as a structured decode 400, not a mid-run
 	// failure.  (The SinkErrNonFinite path guards direct Go API callers and
-	// is pinned by pkg/cts's TestValidateSinks.)
+	// is pinned by pkg/cts's TestValidateSinks.)  The body is exactly one
+	// object: bytes after it, a second object included, are a 400 too.
+	valid := `{"sinks":[{"name":"a","x":1,"y":0},{"name":"b","x":2,"y":0}]}`
 	for _, body := range []string{
 		`{"sinks":[{"name":"a","x":1e999,"y":0}]}`,
 		`{"sinks": not json`,
+		valid + ` trailing garbage`,
+		valid + `{"sinks":[]}`,
 	} {
 		resp, err := http.Post(cl.BaseURL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -131,52 +131,58 @@ func splitList(s string) []string {
 	return out
 }
 
-// runGateway serves the cluster gateway: the same job API, consistent-hashed
-// over the member set, with aggregated /v1/stats and /metrics.
-func runGateway(addr, addrFile, members string, healthIvl time.Duration, log *slog.Logger) error {
-	list := splitList(members)
-	if len(list) == 0 {
-		return fmt.Errorf("-gateway requires -members (comma-separated member base URLs)")
-	}
-	gw, err := ctsserver.NewGateway(ctsserver.GatewayOptions{
-		Members:        list,
-		HealthInterval: healthIvl,
-		Logger:         log,
-	})
-	if err != nil {
-		return err
-	}
-	defer gw.Close()
-
+// serve listens on addr, writes the bound address to addrFile when one is
+// named, and serves handler until ctx is done.  Then it runs drain while the
+// listener still answers, so clients can poll their jobs during a drain,
+// and shuts down with a 5s grace window of its own for in-flight responses
+// (drain may have spent its budget; canceled jobs' event streams end once
+// their terminal events are written).
+func serve(ctx context.Context, addr, addrFile string, handler http.Handler, log *slog.Logger, drain func()) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
 	bound := ln.Addr().String()
-	log.Info("gateway listening", "addr", bound, "members", len(list))
+	log.Info("listening", "addr", bound)
 	if addrFile != "" {
 		if err := os.WriteFile(addrFile, []byte(bound), 0o644); err != nil {
+			ln.Close()
 			return fmt.Errorf("writing -addr-file: %w", err)
 		}
 	}
-	httpSrv := &http.Server{Handler: requestLog(log, gw)}
+	httpSrv := &http.Server{Handler: requestLog(log, handler)}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-serveErr:
 		return err
 	case <-ctx.Done():
 	}
-	log.Info("signal received, shutting gateway down")
+	drain()
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil {
 		log.Warn("shutdown closed lingering connections", "error", err)
 	}
 	return nil
+}
+
+// runGateway serves the cluster gateway: the same job API, consistent-hashed
+// over the member set, with aggregated /v1/stats and /metrics.
+func runGateway(addr, addrFile, members string, log *slog.Logger) error {
+	list := splitList(members)
+	if len(list) == 0 {
+		return fmt.Errorf("-gateway requires -members (comma-separated member base URLs)")
+	}
+	gw, err := ctsserver.NewGateway(ctsserver.GatewayOptions{Members: list, Logger: log})
+	if err != nil {
+		return err
+	}
+	defer gw.Close()
+	log.Info("gateway mode", "members", len(list))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	return serve(ctx, addr, addrFile, gw, log, func() { log.Info("signal received, shutting gateway down") })
 }
 
 func run() error {
@@ -201,7 +207,6 @@ func run() error {
 		gateway      = flag.Bool("gateway", false, "run as a cluster gateway: route jobs over -members instead of synthesizing")
 		members      = flag.String("members", "", "comma-separated member base URLs the gateway routes over (requires -gateway)")
 		peers        = flag.String("peers", "", "comma-separated sibling ctsd base URLs consulted on cache misses (cluster member mode)")
-		healthIvl    = flag.Duration("health-interval", time.Second, "gateway member health-probe period")
 	)
 	flag.Parse()
 
@@ -212,7 +217,7 @@ func run() error {
 	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
 	if *gateway {
-		return runGateway(*addr, *addrFile, *members, *healthIvl, log)
+		return runGateway(*addr, *addrFile, *members, log)
 	}
 	if *members != "" {
 		return fmt.Errorf("-members requires -gateway (members run with -peers)")
@@ -286,43 +291,21 @@ func run() error {
 		}()
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	bound := ln.Addr().String()
-	log.Info("listening", "addr", bound)
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(bound), 0o644); err != nil {
-			return fmt.Errorf("writing -addr-file: %w", err)
+	drain := func() {
+		log.Info("signal received, draining", "timeout", *drainTimeout)
+		drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+		defer cancel()
+		if err := srv.Drain(drainCtx); err != nil {
+			log.Warn("drain canceled remaining jobs", "error", err)
 		}
 	}
-
-	httpSrv := &http.Server{Handler: requestLog(log, srv)}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
+	// The signal context starts here, after the library is ready: nothing
+	// before this point polls a context, so until now a signal keeps its
+	// default action and ends a long characterization at once.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	select {
-	case err := <-serveErr:
+	if err := serve(ctx, *addr, *addrFile, srv, log, drain); err != nil {
 		return err
-	case <-ctx.Done():
-	}
-
-	log.Info("signal received, draining", "timeout", *drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := srv.Drain(drainCtx); err != nil {
-		log.Warn("drain canceled remaining jobs", "error", err)
-	}
-	// The drain context may already be spent; give the HTTP shutdown its
-	// own grace window to flush in-flight responses (the canceled jobs'
-	// event streams end on their own once the terminal events are written).
-	shutCtx, shutCancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer shutCancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil {
-		log.Warn("shutdown closed lingering connections", "error", err)
 	}
 	log.Info("drained, exiting")
 	return nil

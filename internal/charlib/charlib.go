@@ -171,9 +171,6 @@ func (c Config) withDefaults() Config {
 // key builds the map key for a (drive, load) buffer pair.
 func key(drive, load string) string { return drive + "|" + load }
 
-// Tech returns the technology the library is bound to.
-func (l *Library) Tech() *tech.Technology { return l.tech }
-
 // clampInputs limits lookup arguments to the characterized ranges.
 func (l *Library) clampInputs(slew, length float64) (float64, float64) {
 	s := math.Min(math.Max(slew, l.SlewRange[0]), l.SlewRange[1])

@@ -79,9 +79,6 @@ func (n *Node) AddChild(child *Node, wireLen float64) {
 	n.Children = append(n.Children, child)
 }
 
-// IsBuffered reports whether a buffer is placed at this node.
-func (n *Node) IsBuffered() bool { return n.Buffer != nil }
-
 // Tree is a complete clock tree rooted at the clock source.
 type Tree struct {
 	// Tech is the technology the tree was synthesized for.

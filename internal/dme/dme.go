@@ -97,8 +97,6 @@ func elmoreWire(t *tech.Technology, l, c float64) float64 {
 
 // Options configure the baseline synthesizers.
 type Options struct {
-	// Alpha and Beta weight distance and delay difference in the pairing cost.
-	Alpha, Beta float64
 	// SlewLimit enables merge-node-only buffer insertion when > 0 (the
 	// restricted baseline); zero builds the classical unbuffered tree.
 	SlewLimit float64
@@ -108,11 +106,13 @@ type Options struct {
 	// SourcePos, when non-nil, is the clock source location; nil places the
 	// source at the tree root.
 	SourcePos *geom.Point
-	// Matcher selects the per-level pairing strategy; nil selects the
-	// default indexed greedy matcher (topology.Greedy, O(n log n) via the
-	// internal/spatial nearest-neighbour index).
-	Matcher topology.Matcher
 }
+
+// pairAlpha and pairBeta weight distance and delay difference in the
+// baselines' pairing cost: distance alone.  The pairing itself is the
+// indexed greedy matcher (topology.Greedy, O(n log n) via the
+// internal/spatial nearest-neighbour index).
+const pairAlpha, pairBeta = 1, 0
 
 type subtree struct {
 	arc      geom.ManhattanArc
@@ -138,13 +138,6 @@ func Synthesize(ctx context.Context, t *tech.Technology, sinks []Sink, opt Optio
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if opt.Alpha == 0 && opt.Beta == 0 {
-		opt.Alpha = 1
-	}
-	matcher := opt.Matcher
-	if matcher == nil {
-		matcher = topology.Greedy{}
-	}
 	current := make([]*subtree, len(sinks))
 	for i, s := range sinks {
 		if s.Cap <= 0 {
@@ -164,7 +157,7 @@ func Synthesize(ctx context.Context, t *tech.Technology, sinks []Sink, opt Optio
 		for i, st := range current {
 			items[i] = topology.Item{Pos: st.arc.Center(), Delay: st.delay}
 		}
-		pairs, seed := matcher.Match(items, opt.Alpha, opt.Beta)
+		pairs, seed := topology.Greedy{}.Match(items, pairAlpha, pairBeta)
 		var next []*subtree
 		if seed >= 0 {
 			next = append(next, current[seed])

@@ -45,11 +45,9 @@ type Config struct {
 	Workers int
 	// Topology selects the pairing strategy for every synthesized table
 	// entry (default cts.TopologyGreedy, the paper's indexed matching);
-	// the DME baselines always use the paper's greedy pairing.
+	// the DME baselines always use the paper's greedy pairing.  Routing is
+	// always cts.RoutingFlat, the paper's full-resolution maze.
 	Topology cts.TopologyStrategy
-	// Routing selects the merge-routing strategy for every synthesized
-	// table entry (default cts.RoutingFlat, the full-resolution maze).
-	Routing cts.RoutingStrategy
 	// Observer taps the synthesis event stream of every table run (nil =
 	// no observation).  A cts.MetricsObserver here aggregates eval runs
 	// into the same per-stage stats a ctsd service exposes on /v1/stats.
@@ -154,7 +152,6 @@ func tableFlow(cfg Config, extra ...cts.Option) (*cts.Flow, error) {
 		cts.WithSlewLimit(cfg.SlewLimit),
 		cts.WithVerification(spice.Options{TimeStep: cfg.SimStep}),
 		cts.WithTopologyStrategy(cfg.Topology),
-		cts.WithRoutingStrategy(cfg.Routing),
 		cts.WithParallelism(1),
 	}
 	if cfg.Observer != nil {

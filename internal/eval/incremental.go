@@ -115,7 +115,6 @@ func incrementalFlow(cfg Config, cache cts.SubtreeCache) (*cts.Flow, error) {
 		cts.WithLibrary(cfg.Library),
 		cts.WithSlewLimit(cfg.SlewLimit),
 		cts.WithTopologyStrategy(cfg.Topology),
-		cts.WithRoutingStrategy(cfg.Routing),
 		cts.WithParallelism(1),
 	}
 	if cache != nil {

@@ -22,15 +22,6 @@ func Pt(x, y float64) Point { return Point{X: x, Y: y} }
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.3f, %.3f)", p.X, p.Y) }
 
-// Add returns the component-wise sum p+q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns the component-wise difference p-q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Scale returns the point scaled by s.
-func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
-
 // Manhattan returns the L1 (rectilinear) distance between p and q.
 func (p Point) Manhattan(q Point) float64 {
 	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
@@ -163,9 +154,6 @@ func (s Segment) Length() float64 { return s.A.Manhattan(s.B) }
 // Midpoint returns the point halfway along the segment (straight-line
 // interpolation).
 func (s Segment) Midpoint() Point { return s.A.Lerp(s.B, 0.5) }
-
-// PointAt returns the point at parameter t in [0,1] along the segment.
-func (s Segment) PointAt(t float64) Point { return s.A.Lerp(s.B, t) }
 
 // PointAtRatio returns the point M on the segment such that the Manhattan
 // distance |A,M| / |A,B| equals r.  For straight segments this coincides with

@@ -8,8 +8,8 @@ import "context"
 // grids of widely separated sub-trees almost all of that work is spent on
 // cells far from any sensible route.  The hierarchical path instead:
 //
-//  1. coarsens the grid by Config.CoarsenFactor (one coarse cell covers
-//     factor² full cells) and runs the identical best-first expansion on the
+//  1. coarsens the grid by coarsenFactor (one coarse cell covers factor²
+//     full cells) and runs the identical best-first expansion on the
 //     coarse graph from both sub-tree roots;
 //
 //  2. picks the coarse merge cell exactly like the flat router picks its
@@ -30,8 +30,7 @@ import "context"
 // cts.Settings (and therefore in cts.CanonicalKey) rather than silently
 // substituted.
 func (m *Merger) routeHierarchical(ctx context.Context, g grid, a, b *Subtree, rootA, rootB pathNode, sc *scratch) (pathA, pathB []pathNode, ok bool, err error) {
-	factor := m.cfg.CoarsenFactor
-	gc := g.coarsen(factor)
+	gc := g.coarsen(coarsenFactor)
 
 	// Coarse pass: same expansion, factor²-fewer cells.
 	sc.coarseA = ensureStates(sc.coarseA, gc.nx*gc.ny)
@@ -55,7 +54,7 @@ func (m *Merger) routeHierarchical(ctx context.Context, g grid, a, b *Subtree, r
 	markCorridor(gc, sc.coarseB, coarseBest, sc.corridor)
 
 	// Refinement pass: full resolution, corridor cells only.
-	corridor := corridorMask{mask: sc.corridor, factor: factor, nxc: gc.nx}
+	corridor := corridorMask{mask: sc.corridor, factor: coarsenFactor, nxc: gc.nx}
 	sc.statesA = ensureStates(sc.statesA, g.nx*g.ny)
 	sc.statesB = ensureStates(sc.statesB, g.nx*g.ny)
 	genA, err := m.expand(ctx, g, a, sc.statesA, sc, corridor)

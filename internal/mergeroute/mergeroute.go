@@ -89,20 +89,22 @@ type Config struct {
 	GridSize int
 	// MaxGridSize caps the dynamically grown grid (default 120).
 	MaxGridSize int
-	// BinarySearchIters bounds the merge-point refinement (default 24).
-	BinarySearchIters int
 	// Hierarchical selects corridor routing: the best-first expansion first
-	// runs on a grid coarsened by CoarsenFactor, the coarse paths from both
+	// runs on a grid coarsened by coarsenFactor, the coarse paths from both
 	// roots to the chosen coarse merge cell are dilated into a corridor, and
 	// the full-resolution expansion is restricted to corridor cells.  Grids
 	// below hierMinCells, and corridor searches that fail to produce a
 	// common merge cell, fall back to the flat expansion, so the routing
 	// always succeeds wherever flat routing would.
 	Hierarchical bool
-	// CoarsenFactor is the grid coarsening ratio of the hierarchical path
-	// (default 4): one coarse cell covers CoarsenFactor² full cells.
-	CoarsenFactor int
 }
+
+// binarySearchIters bounds the merge-point refinement.
+const binarySearchIters = 24
+
+// coarsenFactor is the grid coarsening ratio of the hierarchical path: one
+// coarse cell covers coarsenFactor² full cells.
+const coarsenFactor = 4
 
 // hierMinCells is the full-grid size below which the hierarchical path is
 // not worth its two extra coarse expansions and flat routing is used
@@ -118,12 +120,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxGridSize <= 0 {
 		c.MaxGridSize = 120
-	}
-	if c.BinarySearchIters <= 0 {
-		c.BinarySearchIters = 24
-	}
-	if c.CoarsenFactor <= 1 {
-		c.CoarsenFactor = 4
 	}
 	return c
 }
@@ -172,9 +168,6 @@ func New(t *tech.Technology, cfg Config) (*Merger, error) {
 	}
 	return &Merger{tech: t, cfg: cfg}, nil
 }
-
-// SlewTarget returns the configured synthesis slew target.
-func (m *Merger) SlewTarget() float64 { return m.cfg.SlewTarget }
 
 // maxDrivableLen returns the longest wire any library buffer can drive into
 // the given load while keeping the far-end slew at the target, memoized per
@@ -824,7 +817,7 @@ func (m *Merger) finalize(a, b *Subtree, pathA, pathB []pathNode) (*Subtree, err
 		case dHi <= 0:
 			r = hi
 		default:
-			for i := 0; i < m.cfg.BinarySearchIters; i++ {
+			for i := 0; i < binarySearchIters; i++ {
 				r = (lo + hi) / 2
 				d, _, _, _ := evalDiff(r)
 				if math.Abs(d) < 1e-3 {

@@ -179,14 +179,6 @@ func (a *Analysis) SlewRamp(node circuit.NodeID, inputSlew float64) float64 {
 	return math.Sqrt(s*s + inputSlew*inputSlew)
 }
 
-// DelayRamp extends DelayD2M to a ramp input.  To first order the 50%-to-50%
-// delay of a linear network is independent of the input transition time, so
-// the step metric is returned; the function exists to make the approximation
-// explicit at call sites.
-func (a *Analysis) DelayRamp(node circuit.NodeID, _ float64) float64 {
-	return a.DelayD2M(node)
-}
-
 // WireElmore returns the Elmore delay in picoseconds of a uniform wire of the
 // given length (um) driven by driveRes (ohms) and loaded by loadCap (fF),
 // using the standard lumped expressions.  It is the closed-form special case

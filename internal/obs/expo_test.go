@@ -32,15 +32,16 @@ func diffExpositions(a, b *ParsedMetrics) string {
 
 // TestGatherRoundTrip pins Gather to the text format: rendering a gathered
 // registry and parsing it back gives the gathered families and samples,
-// for owned and Func series of every kind and for escaped help and labels.
+// for Func series of every kind, owned histograms, and escaped help and
+// labels.
 func TestGatherRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.NewCounter("jobs_total", "Jobs, \"quoted\" \\ and\nsplit.", "state")
-	c.With("done").Add(3)
-	c.With("we\"ird\\\nvalue").Inc()
+	c.Func(func() float64 { return 3 }, "done")
+	c.Func(func() float64 { return 1 }, "we\"ird\\\nvalue")
 	c.Func(func() float64 { return 7 }, "func")
 	g := reg.NewGauge("depth", "Depth.", "priority")
-	g.With("high").Set(-2.5)
+	g.Func(func() float64 { return -2.5 }, "high")
 	g.Func(func() float64 { return math.NaN() }, "low")
 	h := reg.NewHistogram("wait_seconds", "Wait.", []float64{0.1, 1}, "priority")
 	h.With("high").Observe(0.05)

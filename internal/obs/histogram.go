@@ -23,7 +23,7 @@ var LatencyBuckets = []float64{
 type Histogram struct {
 	bounds []float64 // immutable upper bounds, strictly increasing, finite
 	counts []atomic.Uint64
-	sum    Value
+	sum    atomic.Uint64 // float64 bits
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -43,7 +43,14 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.sum.Add(v)
+	// A CAS loop: contention on one hot histogram stays in user space and
+	// never blocks a scrape.
+	for {
+		old := h.sum.Load()
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			return
+		}
+	}
 }
 
 // ObserveDuration records a duration in seconds.
@@ -67,7 +74,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds: h.bounds,
 		Counts: make([]uint64, len(h.counts)),
-		Sum:    h.sum.Load(),
+		Sum:    math.Float64frombits(h.sum.Load()),
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()

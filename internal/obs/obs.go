@@ -1,23 +1,26 @@
 // Package obs is the dependency-free observability toolkit behind ctsd's
-// GET /metrics endpoint and per-job trace spans: counters, gauges and
-// fixed-bucket histograms over lock-cheap atomics, percentile estimation
-// from histogram buckets, Prometheus text-format exposition (and a matching
-// parser, used by the exposition tests and the cmd/ctsload report), and a
-// lightweight span tracer with a per-job span tree and JSON rendering.
+// GET /metrics endpoint and per-job trace spans: counters and gauges read
+// at scrape time, fixed-bucket histograms over lock-cheap atomics,
+// percentile estimation from histogram buckets, Prometheus text-format
+// exposition (and a matching parser, used by the exposition tests and the
+// cmd/ctsload report), and a lightweight span tracer with a per-job span
+// tree and JSON rendering.
 //
-// The package is deliberately stdlib-only.  Metric values are float64s
-// stored as atomic bit patterns, so hot paths (a histogram observation per
-// job, a counter bump per cache lookup) cost one or two atomic operations
-// and never block a scrape; scrapes read whatever instant the atomics hold.
+// The package is deliberately stdlib-only.  A counter or gauge series is a
+// Func: the registry calls it at scrape time to read state its owner
+// already keeps (an atomic total, a queue length), so the registry holds no
+// second copy that could disagree.  Histograms are the only series the
+// registry owns; an observation costs a few atomic operations and never
+// blocks a scrape, and scrapes read whatever instant the atomics hold.
 //
 // A Registry owns metric families in registration order:
 //
 //	reg := obs.NewRegistry()
-//	submitted := reg.NewCounter("jobs_submitted_total", "Jobs admitted.").With()
+//	reg.NewCounter("jobs_submitted_total", "Jobs admitted.").
+//	        Func(func() float64 { return float64(submitted.Load()) })
 //	wait := reg.NewHistogram("queue_wait_seconds", "Queue wait.",
 //	        obs.LatencyBuckets, "priority")
 //	...
-//	submitted.Inc()
 //	wait.With("high").Observe(0.004)
 //	reg.WritePrometheus(w)
 //
@@ -34,7 +37,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 )
 
 // Kind classifies a metric family for the TYPE line of the exposition.
@@ -63,63 +65,11 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a float64 behind an atomic bit pattern: the shared scalar store
-// of Counter and Gauge.  The zero value is 0 and ready to use.
-type Value struct {
-	bits atomic.Uint64
-}
-
-// Add adds delta (CAS loop; contention on a single hot counter stays in
-// user space and is far cheaper than a mutex on the scrape path).
-func (v *Value) Add(delta float64) {
-	for {
-		old := v.bits.Load()
-		cur := math.Float64frombits(old)
-		if v.bits.CompareAndSwap(old, math.Float64bits(cur+delta)) {
-			return
-		}
-	}
-}
-
-// Set stores an absolute value.
-func (v *Value) Set(x float64) { v.bits.Store(math.Float64bits(x)) }
-
-// Load returns the current value.
-func (v *Value) Load() float64 { return math.Float64frombits(v.bits.Load()) }
-
-// Counter is one monotonically increasing series (a typed view over a
-// Value).  Use Inc/Add; decreasing a counter is a caller bug the type does
-// not police (it would cost an atomic compare on every Add).
-type Counter Value
-
-// Inc adds one.
-func (c *Counter) Inc() { (*Value)(c).Add(1) }
-
-// Add adds delta, which must be non-negative.
-func (c *Counter) Add(delta float64) { (*Value)(c).Add(delta) }
-
-// Value returns the current count.
-func (c *Counter) Value() float64 { return (*Value)(c).Load() }
-
-// Gauge is one series whose value can move both ways (a typed view over a
-// Value).
-type Gauge Value
-
-// Set stores an absolute value.
-func (g *Gauge) Set(x float64) { (*Value)(g).Set(x) }
-
-// Add adds delta (negative deltas decrease the gauge).
-func (g *Gauge) Add(delta float64) { (*Value)(g).Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return (*Value)(g).Load() }
-
 // series is one label-value combination of a family.  read (counters and
-// gauges) or readHist (histograms) yields its value at scrape time: a read
-// of value or hist for an owned series, the caller's function for a Func.
+// gauges) or readHist (histograms) yields its value at scrape time: the
+// caller's function for a Func, a snapshot of hist for an owned histogram.
 type series struct {
 	labelValues []string
-	value       *Value     // owned counter/gauge series (nil for a Func)
 	hist        *Histogram // owned histogram series (nil for a Func)
 	read        func() float64
 	readHist    func() HistogramSnapshot
@@ -142,10 +92,10 @@ type Family struct {
 // Name returns the family name.
 func (f *Family) Name() string { return f.name }
 
-// seriesFor returns the series for the label values, creating an owned one
-// on first use; given a Func series (fn, carrying read or readHist) it binds
-// that instead, panicking if the values are already bound.  Callers must
-// pass exactly len(f.labels) values.
+// seriesFor returns the series for the label values, creating an owned
+// histogram on first use; given a Func series (fn, carrying read or
+// readHist) it binds that instead, panicking if the values are already
+// bound.  Callers must pass exactly len(f.labels) values.
 func (f *Family) seriesFor(values []string, fn *series) *series {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
@@ -160,14 +110,9 @@ func (f *Family) seriesFor(values []string, fn *series) *series {
 		return s
 	}
 	s := fn
-	switch {
-	case s != nil:
-	case f.kind == KindHistogram:
+	if s == nil {
 		s = &series{hist: newHistogram(f.bounds)}
 		s.readHist = s.hist.Snapshot
-	default:
-		s = &series{value: &Value{}}
-		s.read = s.value.Load
 	}
 	s.labelValues = append([]string(nil), values...)
 	f.series = append(f.series, s)
@@ -203,13 +148,8 @@ func labelKey(values []string) string {
 	return string(b)
 }
 
-// CounterVec is a counter family handle; With instantiates one series.
+// CounterVec is a counter family handle; Func binds one series.
 type CounterVec struct{ f *Family }
-
-// With returns the counter for the label values (creating it on first use).
-func (v CounterVec) With(values ...string) *Counter {
-	return (*Counter)(v.f.seriesFor(values, nil).value)
-}
 
 // Func registers a read-at-scrape counter series: the exposed value is fn()
 // at scrape time.  fn must be monotone for the series to honor counter
@@ -218,13 +158,8 @@ func (v CounterVec) Func(fn func() float64, values ...string) {
 	v.f.seriesFor(values, &series{read: fn})
 }
 
-// GaugeVec is a gauge family handle; With instantiates one series.
+// GaugeVec is a gauge family handle; Func binds one series.
 type GaugeVec struct{ f *Family }
-
-// With returns the gauge for the label values (creating it on first use).
-func (v GaugeVec) With(values ...string) *Gauge {
-	return (*Gauge)(v.f.seriesFor(values, nil).value)
-}
 
 // Func registers a read-at-scrape gauge series.
 func (v GaugeVec) Func(fn func() float64, values ...string) { v.f.seriesFor(values, &series{read: fn}) }
@@ -282,7 +217,7 @@ func (r *Registry) register(f *Family) *Family {
 }
 
 // NewCounter registers a counter family with the label schema and returns
-// its handle.  With no labels, With() yields the single series.
+// its handle.  With no labels, Func(fn) binds the single series.
 func (r *Registry) NewCounter(name, help string, labels ...string) CounterVec {
 	return CounterVec{r.register(&Family{name: name, help: help, kind: KindCounter, labels: labels})}
 }

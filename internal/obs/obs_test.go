@@ -8,44 +8,28 @@ import (
 	"time"
 )
 
-func TestCounterGaugeBasics(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.NewCounter("jobs_total", "Jobs.").With()
-	g := reg.NewGauge("queue_depth", "Depth.").With()
-	c.Inc()
-	c.Add(2)
-	if got := c.Value(); got != 3 {
-		t.Fatalf("counter = %v, want 3", got)
-	}
-	g.Set(5)
-	g.Add(-2)
-	if got := g.Value(); got != 3 {
-		t.Fatalf("gauge = %v, want 3", got)
-	}
-}
-
 func TestVecSeriesIdentity(t *testing.T) {
 	reg := NewRegistry()
-	v := reg.NewCounter("hits_total", "Hits.", "tier")
+	v := reg.NewHistogram("hits_seconds", "Hits.", []float64{1}, "tier")
 	a1 := v.With("memory")
 	a2 := v.With("memory")
 	b := v.With("disk")
-	a1.Inc()
-	a2.Inc()
-	b.Inc()
-	if got := a1.Value(); got != 2 {
+	a1.Observe(0.5)
+	a2.Observe(0.5)
+	b.Observe(0.5)
+	if got := a1.Snapshot().Count(); got != 2 {
 		t.Fatalf("same labels must share a series: got %v, want 2", got)
 	}
-	if got := b.Value(); got != 1 {
+	if got := b.Snapshot().Count(); got != 1 {
 		t.Fatalf("distinct labels must not share: got %v, want 1", got)
 	}
 }
 
 func TestLabelKeyNoAliasing(t *testing.T) {
 	reg := NewRegistry()
-	v := reg.NewCounter("x_total", "X.", "a", "b")
-	v.With("ab", "c").Inc()
-	if got := v.With("a", "bc").Value(); got != 0 {
+	v := reg.NewHistogram("x_seconds", "X.", []float64{1}, "a", "b")
+	v.With("ab", "c").Observe(0.5)
+	if got := v.With("a", "bc").Snapshot().Count(); got != 0 {
 		t.Fatalf(`("ab","c") and ("a","bc") aliased: got %v`, got)
 	}
 }
@@ -70,7 +54,7 @@ func TestRegistryPanicsOnAbuse(t *testing.T) {
 	expectPanic("unsorted buckets", func() { NewRegistry().NewHistogram("h", "H.", []float64{2, 1}) })
 	expectPanic("wrong label arity", func() {
 		reg := NewRegistry()
-		reg.NewCounter("a_total", "A.", "x").With()
+		reg.NewCounter("a_total", "A.", "x").Func(func() float64 { return 0 })
 	})
 }
 
@@ -144,8 +128,8 @@ func TestFuncSeries(t *testing.T) {
 func TestExpositionRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.NewCounter("jobs_total", "Jobs with \"quotes\" and\nnewlines.", "state")
-	c.With("done").Add(4)
-	c.With(`we"ird\value`).Inc()
+	c.Func(func() float64 { return 4 }, "done")
+	c.Func(func() float64 { return 1 }, `we"ird\value`)
 	reg.NewGauge("uptime_seconds", "Uptime.").Func(func() float64 { return 12.5 })
 	h := reg.NewHistogram("wait_seconds", "Wait.", []float64{0.1, 1}, "priority")
 	h.With("high").Observe(0.05)
@@ -225,7 +209,6 @@ func TestParserRejectsMalformedExpositions(t *testing.T) {
 
 func TestConcurrentObservationsRaceClean(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.NewCounter("n_total", "N.", "w")
 	h := reg.NewHistogram("v_seconds", "V.", LatencyBuckets, "w")
 	var wg sync.WaitGroup
 	const workers, per = 8, 500
@@ -235,7 +218,6 @@ func TestConcurrentObservationsRaceClean(t *testing.T) {
 			defer wg.Done()
 			label := string(rune('a' + w%2))
 			for i := 0; i < per; i++ {
-				c.With(label).Inc()
 				h.With(label).Observe(float64(i%40) * 0.01)
 				if i%100 == 0 {
 					var b strings.Builder
@@ -245,8 +227,8 @@ func TestConcurrentObservationsRaceClean(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := c.With("a").Value() + c.With("b").Value(); got != workers*per {
-		t.Fatalf("lost increments: %v, want %d", got, workers*per)
+	if got := h.With("a").Snapshot().Count() + h.With("b").Snapshot().Count(); got != workers*per {
+		t.Fatalf("lost observations: %v, want %d", got, workers*per)
 	}
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {

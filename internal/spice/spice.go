@@ -49,19 +49,6 @@ const (
 type Options struct {
 	// TimeStep is the integration step in ps.  Zero selects 0.5 ps.
 	TimeStep float64
-	// MinWindow is the minimum simulated time after a stage's driver starts
-	// switching, in ps.  Zero selects 150 ps.
-	MinWindow float64
-	// MaxWindow is the maximum simulated time after a stage's driver starts
-	// switching, in ps.  Zero selects 20000 ps (long enough for even grossly
-	// under-buffered baseline trees to settle).
-	MaxWindow float64
-	// SettleFraction stops a stage early once every probed node has reached
-	// this fraction of Vdd.  Zero selects 0.995.
-	SettleFraction float64
-	// SourceStart is the time at which the source stimulus begins, in ps.
-	// Zero selects 20 ps.
-	SourceStart float64
 	// SourceSlew overrides the technology's source transition time when > 0.
 	SourceSlew float64
 	// Shape selects the source stimulus shape.
@@ -72,20 +59,23 @@ func (o Options) withDefaults() Options {
 	if o.TimeStep <= 0 {
 		o.TimeStep = 0.5
 	}
-	if o.MinWindow <= 0 {
-		o.MinWindow = 150
-	}
-	if o.MaxWindow <= 0 {
-		o.MaxWindow = 20000
-	}
-	if o.SettleFraction <= 0 {
-		o.SettleFraction = 0.995
-	}
-	if o.SourceStart <= 0 {
-		o.SourceStart = 20
-	}
 	return o
 }
+
+const (
+	// minWindow is the minimum simulated time after a stage's driver starts
+	// switching, in ps.
+	minWindow = 150
+	// maxWindow is the maximum simulated time after a stage's driver starts
+	// switching, in ps: long enough for even grossly under-buffered baseline
+	// trees to settle.
+	maxWindow = 20000
+	// settleFraction stops a stage early once every probed node has reached
+	// this fraction of Vdd.
+	settleFraction = 0.995
+	// sourceStart is the time at which the source stimulus begins, in ps.
+	sourceStart = 20
+)
 
 // Result holds the transient waveforms at the nodes of interest: source
 // outputs, buffer inputs and outputs, and sinks.
@@ -153,8 +143,8 @@ func Simulate(net *circuit.Netlist, t *tech.Technology, opt Options) (*Result, e
 		sourceSlew = opt.SourceSlew
 	}
 
-	stimulus := makeStimulus(opt.Shape, t.Vdd, opt.SourceStart, sourceSlew, opt.TimeStep,
-		opt.SourceStart+sourceSlew*4+50)
+	stimulus := makeStimulus(opt.Shape, t.Vdd, sourceStart, sourceSlew, opt.TimeStep,
+		sourceStart+sourceSlew*4+50)
 
 	comps, compOf, err := components(net)
 	if err != nil {
@@ -222,8 +212,8 @@ func Simulate(net *circuit.Netlist, t *tech.Technology, opt Options) (*Result, e
 				drv = &driver{
 					node:  s.Out,
 					res:   s.DriveRes,
-					start: opt.SourceStart,
-					vsrc:  analyticStimulus(opt.Shape, t.Vdd, opt.SourceStart, sourceSlew),
+					start: sourceStart,
+					vsrc:  analyticStimulus(opt.Shape, t.Vdd, sourceStart, sourceSlew),
 				}
 			case drvBuf[ci] != nil:
 				b := drvBuf[ci]
@@ -431,13 +421,13 @@ func solveStage(net *circuit.Netlist, t *tech.Technology, opt Options, st *stage
 
 	// Time stepping.
 	vdd := t.Vdd
-	settle := opt.SettleFraction * vdd
+	settle := settleFraction * vdd
 	tStart := st.drv.start - 5*h
 	if tStart < 0 {
 		tStart = 0
 	}
-	maxT := st.drv.start + opt.MaxWindow
-	minT := st.drv.start + opt.MinWindow
+	maxT := st.drv.start + maxWindow
+	minT := st.drv.start + minWindow
 
 	x := make([]float64, n)
 	xNext := make([]float64, n)

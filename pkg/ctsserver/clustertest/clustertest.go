@@ -8,7 +8,6 @@ package clustertest
 
 import (
 	"testing"
-	"time"
 
 	"net/http/httptest"
 
@@ -52,9 +51,6 @@ type Options struct {
 	// Server customizes each member's options after the defaults are set
 	// (index, options); nil keeps the defaults.
 	Server func(i int, o *ctsserver.Options)
-	// HealthInterval is the gateway probe period (<= 0 selects 50ms — fast,
-	// so fault-injection tests converge quickly).
-	HealthInterval time.Duration
 }
 
 // New assembles a running cluster and registers its teardown on t.  The
@@ -64,9 +60,6 @@ func New(t testing.TB, opts Options) *Cluster {
 	t.Helper()
 	if opts.Members <= 0 {
 		opts.Members = 3
-	}
-	if opts.HealthInterval <= 0 {
-		opts.HealthInterval = 50 * time.Millisecond
 	}
 	tc := tech.Default()
 	lib := charlib.NewAnalytic(tc)
@@ -100,10 +93,7 @@ func New(t testing.TB, opts Options) *Cluster {
 		m.Server.SetPeers(peers)
 	}
 
-	gw, err := ctsserver.NewGateway(ctsserver.GatewayOptions{
-		Members:        urls,
-		HealthInterval: opts.HealthInterval,
-	})
+	gw, err := ctsserver.NewGateway(ctsserver.GatewayOptions{Members: urls})
 	if err != nil {
 		t.Fatal(err)
 	}

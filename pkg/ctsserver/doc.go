@@ -186,8 +186,8 @@
 // corrupt-entry deletions, occupancy).
 //
 // Terminal jobs stay addressable (status and event replay) until the
-// retention bounds (Options.JobRetention, Options.RetainBytes) forget the
-// oldest ones.
+// retention bounds (Options.JobRetention, and 256 MiB of retained result
+// JSON and event logs) forget the oldest ones.
 //
 // # Incremental synthesis (baseJob)
 //

@@ -22,11 +22,11 @@ import (
 // served a request the gateway forwarded.
 const HeaderMember = "X-Ctsd-Member"
 
-// defaultHealthInterval is the member health-probe period.  Probes are one
-// GET /healthz each, so even small intervals are cheap; 1s keeps the window
-// in which the gateway dispatches to a dead member (and eats one transport
+// healthInterval is the member health-probe period.  Probes are one GET
+// /healthz each, so even small intervals are cheap; 1s keeps the window in
+// which the gateway dispatches to a dead member (and eats one transport
 // error per submission) short.
-const defaultHealthInterval = time.Second
+const healthInterval = time.Second
 
 // gatewayTimeout bounds one forwarded non-streaming request.  Members
 // answer submissions asynchronously (202 + job id), so every forwarded call
@@ -53,8 +53,6 @@ type GatewayOptions struct {
 	// Members are the ctsd base URLs the gateway routes over; required,
 	// order-insensitive (the ring sorts them).
 	Members []string
-	// HealthInterval is the member probe period (<= 0 selects 1s).
-	HealthInterval time.Duration
 	// Logger receives structured routing logs; nil discards them.
 	Logger *slog.Logger
 }
@@ -67,7 +65,6 @@ type GatewayOptions struct {
 // so a finished job survives its member's death.  See doc.go ("Cluster
 // mode") for the wire contract.
 type Gateway struct {
-	opts   GatewayOptions
 	ring   *ring
 	client *http.Client // forwarded requests (bounded by gatewayTimeout)
 	stream *http.Client // SSE proxying (no timeout)
@@ -140,9 +137,6 @@ func (j *gwJob) adopt(member string, st *JobStatus) {
 // NewGateway assembles a Gateway over the member set and starts its health
 // checker.  Close releases the checker.
 func NewGateway(o GatewayOptions) (*Gateway, error) {
-	if o.HealthInterval <= 0 {
-		o.HealthInterval = defaultHealthInterval
-	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.DiscardHandler)
 	}
@@ -161,7 +155,6 @@ func NewGateway(o GatewayOptions) (*Gateway, error) {
 		return nil, fmt.Errorf("ctsserver: seeding gateway job ids: %w", err)
 	}
 	g := &Gateway{
-		opts:     o,
 		ring:     r,
 		client:   &http.Client{Timeout: gatewayTimeout},
 		stream:   &http.Client{},
@@ -218,7 +211,7 @@ func (g *Gateway) MemberFor(key string) string {
 // healthLoop probes every member each interval until Close.
 func (g *Gateway) healthLoop() {
 	defer close(g.done)
-	t := time.NewTicker(g.opts.HealthInterval)
+	t := time.NewTicker(healthInterval)
 	defer t.Stop()
 	for {
 		select {

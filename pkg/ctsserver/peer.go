@@ -16,10 +16,10 @@ import (
 // that tax while still noticing recovery quickly.
 const peerDownCooldown = 5 * time.Second
 
-// defaultPeerTimeout bounds one peer cache read.  Cached values are served
-// from memory or one disk read on the peer, so anything slower than this is
+// peerTimeout bounds one peer cache read.  Cached values are served from
+// memory or one disk read on the peer, so anything slower than this is
 // effectively down.
-const defaultPeerTimeout = 2 * time.Second
+const peerTimeout = 2 * time.Second
 
 // peerBodyLimit bounds a peer response body (a result JSON or one encoded
 // sub-tree); it mirrors the request-size bound of the public API.
@@ -39,14 +39,10 @@ type peerSet struct {
 	downUntil map[string]time.Time // guarded by mu
 }
 
-// newPeerSet builds a peer set over sibling base URLs; timeout <= 0 selects
-// the default.
-func newPeerSet(urls []string, timeout time.Duration) *peerSet {
-	if timeout <= 0 {
-		timeout = defaultPeerTimeout
-	}
+// newPeerSet builds a peer set over sibling base URLs.
+func newPeerSet(urls []string) *peerSet {
 	p := &peerSet{
-		client:    &http.Client{Timeout: timeout},
+		client:    &http.Client{Timeout: peerTimeout},
 		downUntil: map[string]time.Time{},
 	}
 	p.set(urls)

@@ -115,7 +115,7 @@ func TestTierRejectsJunkPeerSubtree(t *testing.T) {
 	flipped[len(flipped)/2] ^= 1
 
 	for _, junk := range [][]byte{[]byte("<html></html>"), real[:len(real)-1], flipped} {
-		tier := newTier(subtreeKind, 1<<20, nil, newPeerSet([]string{junkPeer(t, junk)}, 0))
+		tier := newTier(subtreeKind, 1<<20, nil, newPeerSet([]string{junkPeer(t, junk)}))
 		if v, ok := tier.Get("k"); ok {
 			t.Fatalf("junk peer value served: %q", v)
 		}

@@ -70,19 +70,10 @@ type Options struct {
 	// GET/events replay; the oldest are forgotten beyond it (<= 0 selects
 	// 4096).
 	JobRetention int
-	// RetainBytes additionally bounds the memory retained terminal jobs
-	// hold (their result JSON and event logs), evicting oldest-first beyond
-	// it; 0 selects 256 MiB and negative values leave only the count bound.
-	RetainBytes int64
-	// VerifyTimeStep is the transient-simulation step in ps for jobs that
-	// request verification (<= 0 selects 1).
-	VerifyTimeStep float64
 	// Peers are sibling ctsd base URLs consulted on local cache misses
 	// before synthesizing (cluster mode; see SetPeers, which can also
 	// install them on a running server).  Empty disables peer lookups.
 	Peers []string
-	// PeerTimeout bounds one peer cache read (<= 0 selects 2s).
-	PeerTimeout time.Duration
 	// Logger receives structured lifecycle logs (one line per admission and
 	// per terminal transition, with job id, key, state and durations); nil
 	// discards them.
@@ -150,12 +141,6 @@ func New(o Options) (*Server, error) {
 	if o.JobRetention <= 0 {
 		o.JobRetention = 4096
 	}
-	if o.RetainBytes == 0 {
-		o.RetainBytes = 256 << 20
-	}
-	if o.VerifyTimeStep <= 0 {
-		o.VerifyTimeStep = 1
-	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.DiscardHandler)
 	}
@@ -171,7 +156,7 @@ func New(o Options) (*Server, error) {
 		}
 		disk = d
 	}
-	peers := newPeerSet(o.Peers, o.PeerTimeout)
+	peers := newPeerSet(o.Peers)
 	var subtrees *tier
 	if o.SubtreeCacheBytes > 0 {
 		var sdisk *store.Store
@@ -260,6 +245,10 @@ func (s *Server) register(j *job) {
 	s.jobs[j.id] = j
 }
 
+// retainBytes bounds the memory retained terminal jobs hold (their result
+// JSON and event logs) on top of the Options.JobRetention count bound.
+const retainBytes = 256 << 20
+
 // retainedJob is one retention-list entry: a terminal job and the bytes its
 // status and event log pin.
 type retainedJob struct {
@@ -278,7 +267,7 @@ func (s *Server) retire(j *job) {
 	s.terminal = append(s.terminal, retainedJob{id: j.id, bytes: size})
 	s.retainedBytes += size
 	for len(s.terminal) > s.opts.JobRetention ||
-		(s.opts.RetainBytes > 0 && s.retainedBytes > s.opts.RetainBytes && len(s.terminal) > 1) {
+		(s.retainedBytes > retainBytes && len(s.terminal) > 1) {
 		old := s.terminal[0]
 		s.terminal = s.terminal[1:]
 		s.retainedBytes -= old.bytes
@@ -407,6 +396,10 @@ func (s *Server) runSynthesis(j *job) (*cts.Result, error) {
 	return j.flow.Run(j.ctx, j.sinks)
 }
 
+// verifyTimeStep is the transient-simulation step in ps for jobs that
+// request verification.
+const verifyTimeStep = 1
+
 // buildFlow assembles the per-job flow from the request settings.  The
 // observer stream feeds both the server-wide metrics and the job's SSE log.
 func (s *Server) buildFlow(req JobRequest, j func() *job) (*cts.Flow, error) {
@@ -440,7 +433,7 @@ func (s *Server) buildFlow(req JobRequest, j func() *job) (*cts.Flow, error) {
 		}),
 	)
 	if req.Verify {
-		opts = append(opts, cts.WithVerification(spice.Options{TimeStep: s.opts.VerifyTimeStep}))
+		opts = append(opts, cts.WithVerification(spice.Options{TimeStep: verifyTimeStep}))
 	}
 	return cts.New(s.tech, opts...)
 }

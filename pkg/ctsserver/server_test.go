@@ -231,6 +231,65 @@ func TestEndToEnd(t *testing.T) {
 	waitTerminal(t, cl, st3.ID)
 }
 
+// TestMemberRunsKeyedSettings pins buildFlow to JobRequest.key.  A job
+// caches under CanonicalKey over the request's effective settings, so a
+// setting buildFlow failed to pass on would run at its default and then be
+// served for the requested key.  For every spelling, the done job's result
+// must echo the effective settings, and its key must be CanonicalKey over
+// them and the sinks.
+func TestMemberRunsKeyedSettings(t *testing.T) {
+	_, cl := newTestServer(t, Options{})
+	ctx := context.Background()
+	spellings := []struct {
+		name     string
+		settings *cts.Settings
+	}{
+		{"nil", nil},
+		{"zero", &cts.Settings{}},
+		{"slew limit", &cts.Settings{SlewLimit: 120}},
+		{"slew target", &cts.Settings{SlewTarget: 70}},
+		{"alpha", &cts.Settings{Alpha: 2}},
+		{"beta", &cts.Settings{Beta: 10}},
+		{"grid", &cts.Settings{GridSize: 30}},
+		{"re-estimate", &cts.Settings{Correction: cts.CorrectionReEstimate}},
+		{"full correction", &cts.Settings{Correction: cts.CorrectionFull}},
+		{"bipartition", &cts.Settings{Topology: cts.TopologyBipartition}},
+		{"hierarchical", &cts.Settings{Routing: cts.RoutingHierarchical}},
+	}
+	req := scaledRequest(t, 12)
+	for _, sp := range spellings {
+		var set cts.Settings
+		if sp.settings != nil {
+			set = *sp.settings
+		}
+		want, err := set.Effective()
+		if err != nil {
+			t.Fatalf("%s: %v", sp.name, err)
+		}
+		req.Settings = sp.settings
+		st, err := cl.Submit(ctx, req)
+		if err != nil {
+			t.Fatalf("%s: %v", sp.name, err)
+		}
+		st = waitTerminal(t, cl, st.ID)
+		if st.State != StateDone {
+			t.Fatalf("%s: job ended %s: %s", sp.name, st.State, st.Error)
+		}
+		var res struct {
+			Settings cts.Settings `json:"settings"`
+		}
+		if err := json.Unmarshal(st.Result, &res); err != nil {
+			t.Fatalf("%s: decoding result: %v", sp.name, err)
+		}
+		if res.Settings != want {
+			t.Errorf("%s: ran with %+v, keyed on %+v", sp.name, res.Settings, want)
+		}
+		if key := cts.CanonicalKey(want, SinksToCTS(req.Sinks)); st.Key != key {
+			t.Errorf("%s: key %s, want CanonicalKey of the effective settings %s", sp.name, st.Key, key)
+		}
+	}
+}
+
 // TestValidationErrors pins the structured 400s of the API boundary.
 func TestValidationErrors(t *testing.T) {
 	_, cl := newTestServer(t, Options{Workers: 1, QueueDepth: 4, MaxSinks: 100})

@@ -27,7 +27,7 @@
 // aggregates /v1/stats and /metrics cluster-wide.
 //
 // With -cache-dir the result cache gains a disk tier: completed results are
-// written through to the directory (one compressed file per canonical key)
+// written through to the directory (one gzip file per canonical key)
 // and read back on memory misses, so a restarted ctsd answers resubmissions
 // of pre-restart jobs from disk without running synthesis.
 //

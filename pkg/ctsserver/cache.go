@@ -11,10 +11,11 @@ import (
 )
 
 // subtreeDiskMinBytes is the subtree tier's disk write-through floor.  Each
-// disk write pays a gzip, an fsync and a rename — on the order of a
-// millisecond — and a 1,024-sink job makes about 1,000 merges, so persisting
-// every tiny leaf-adjacent merge would add about a second of write-through
-// to one synthesis.  Coarse sub-trees are where the reuse value is — one
+// disk write pays a file creation, an fsync and a rename — 0.8 to 1.1 ms per
+// entry in BenchmarkStorePut on a 2-core host, whatever the value's size —
+// and a 1,024-sink job makes about 1,000 merges, so persisting every tiny
+// leaf-adjacent merge would add about a second of write-through to one
+// synthesis.  Coarse sub-trees are where the reuse value is — one
 // hit near the root stands in for a whole region — so only values at least
 // this large go to disk; the memory level holds everything.
 const subtreeDiskMinBytes = 16 << 10

@@ -46,8 +46,8 @@ type Options struct {
 	// misses, so the cache survives restarts (ctsd's -cache-dir).  The
 	// directory is created if missing.
 	CacheDir string
-	// CacheDiskBytes is the disk tier's byte budget over the compressed
-	// entries; 0 selects 1 GiB and negative values leave the tier
+	// CacheDiskBytes is the disk tier's byte budget over the entry files'
+	// sizes; 0 selects 1 GiB and negative values leave the tier
 	// unbounded.  Ignored without CacheDir.
 	CacheDiskBytes int64
 	// SubtreeCacheBytes is the subtree cache's memory budget over the

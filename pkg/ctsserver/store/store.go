@@ -5,13 +5,20 @@
 //
 // # On-disk layout
 //
-// A store owns one directory.  Each entry is a single gzip-compressed
-// cts.Result JSON file named after the SHA-256 of its cache key, with the
-// key itself recorded in the gzip header (Name field) so the directory is
-// self-describing.  An entry's size is its file size and its last access is
-// its file mtime.  Next to the entries sits manifest.json, a checkpoint of
-// the index (key → {file, bytes, atime}) that only Open writes: it spares
-// the next Open from opening the entries it lists, and lets tools list the
+// A store owns one directory.  Each entry holds one value of either cache
+// tier (a rendered cts.Result JSON or an encoded sub-tree) as a single gzip
+// member in a file named after the SHA-256 of its cache key, with the key
+// itself recorded in the gzip header (Name field) so the directory is
+// self-describing.  Put writes the member's deflate blocks stored, not
+// compressed (RFC 1951 §3.2.4): deflate shrank sub-tree values only to
+// about 0.43 of their size and results not past one 4 KiB block, yet it
+// took about a third of the CPU of a server taking ECO resubmissions.  The
+// file stays a standard gzip stream with its CRC-32 trailer, so entries
+// that earlier builds wrote compressed stay readable, and zcat reads
+// either.  An entry's size is its file size and its last access is its
+// file mtime.  Next to the entries sits manifest.json, a checkpoint of the
+// index (key → {file, bytes, atime}) that only Open writes: it spares the
+// next Open from opening the entries it lists, and lets tools list the
 // keys without decompressing anything.  Get and Put never write it, so it
 // lags whatever they changed until the next Open.
 //
@@ -25,11 +32,12 @@
 // listed key, any other entry file gives up its key from its gzip header,
 // and a listed key whose file is gone is dropped.  A corrupt entry — bad
 // gzip stream, bad CRC, a header key other than the one its name or lookup
-// promises — is deleted and treated as a miss, never surfaced as an error.
+// promises, more than one gzip member — is deleted and treated as a miss,
+// never surfaced as an error.
 //
 // # Eviction
 //
-// The store enforces a byte budget over the compressed on-disk sizes.  When
+// The store enforces a byte budget over the entries' file sizes.  When
 // a put pushes the total over budget, entries are evicted oldest-access
 // first.  Get and Put record an access by setting the entry file's mtime
 // from a monotonic logical clock (so same-nanosecond accesses still order
@@ -40,6 +48,7 @@
 package store
 
 import (
+	"bufio"
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
@@ -71,7 +80,7 @@ type manifest struct {
 type manifestEntry struct {
 	// File is the entry's file name within the store directory.
 	File string `json:"file"`
-	// Bytes is the compressed on-disk size charged against the budget.
+	// Bytes is the file size charged against the budget.
 	Bytes int64 `json:"bytes"`
 	// ATime is the last access in Unix nanoseconds, kept on disk as the
 	// file's mtime; eviction removes the oldest first.
@@ -86,7 +95,7 @@ type Stats struct {
 	Dir string `json:"dir"`
 	// Entries is the number of stored results.
 	Entries int `json:"entries"`
-	// Bytes is the compressed on-disk total charged against MaxBytes.
+	// Bytes is the on-disk total charged against MaxBytes.
 	Bytes int64 `json:"bytes"`
 	// MaxBytes is the eviction budget; 0 or below means unbounded.
 	MaxBytes int64 `json:"maxBytes"`
@@ -120,10 +129,10 @@ type Store struct {
 }
 
 // Open creates or reopens a store in dir (created if missing, permissions
-// 0o755).  maxBytes bounds the compressed on-disk total; 0 or below leaves
-// the store unbounded.  Open removes stray temporary files from interrupted
-// writes, indexes the entry files actually present (deleting undecodable
-// ones), evicts down to the budget if the surviving set exceeds it, and
+// 0o755).  maxBytes bounds the on-disk total; 0 or below leaves the store
+// unbounded.  Open removes stray temporary files from interrupted writes,
+// indexes the entry files actually present (deleting undecodable ones),
+// evicts down to the budget if the surviving set exceeds it, and
 // checkpoints the index to manifest.json.
 func Open(dir string, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -302,30 +311,55 @@ func (s *Store) Get(key string) (data []byte, ok bool) {
 	return data, true
 }
 
-// readEntry reads and decompresses one entry file, which must carry key in
-// its gzip header; the gzip CRC check makes torn or bit-rotted content
-// surface as an error.
+// readEntry reads one entry file, which must be a single gzip member
+// carrying key in its header; the gzip CRC check makes torn or bit-rotted
+// content surface as an error.
 func readEntry(path, key string) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	zr, err := gzip.NewReader(f)
+	// A byte reader keeps the gzip reader from reading past the member, so
+	// whatever follows its trailer is still there to find.
+	br := bufio.NewReader(f)
+	zr, err := gzip.NewReader(br)
 	if err != nil {
 		return nil, err
 	}
 	if zr.Name != key {
 		return nil, fmt.Errorf("store: %s holds key %q, not %q", path, zr.Name, key)
 	}
+	zr.Multistream(false)
 	data, err := io.ReadAll(zr)
 	if err != nil {
 		return nil, err
 	}
-	if err := zr.Close(); err != nil {
-		return nil, err
+	if _, err := br.ReadByte(); err != io.EOF {
+		return nil, fmt.Errorf("store: %s holds more than one gzip member", path)
 	}
 	return data, nil
+}
+
+// writers pools the entry encoders: every gzip writer allocates a flate
+// compressor of at least 640 KiB whatever its level, which a Put would
+// otherwise pay per entry.
+var writers = sync.Pool{New: func() any {
+	zw, _ := gzip.NewWriterLevel(nil, gzip.NoCompression) // a valid level
+	return zw
+}}
+
+// writeEntry writes data to w as one gzip member with stored deflate
+// blocks, key in its header.
+func writeEntry(w io.Writer, key string, data []byte) error {
+	zw := writers.Get().(*gzip.Writer)
+	defer writers.Put(zw)
+	zw.Reset(w)
+	zw.Name = key
+	if _, err := zw.Write(data); err != nil {
+		return err
+	}
+	return zw.Close()
 }
 
 // Put stores data under key, crash-safely (temp file, sync, rename), then
@@ -347,15 +381,10 @@ func (s *Store) Put(key string, data []byte) {
 	}
 	s.mu.Unlock()
 
-	// Compress and land the entry outside the lock; concurrent Puts of the
+	// Encode and land the entry outside the lock; concurrent Puts of the
 	// same key write identical content, so the last rename winning is fine.
 	size, err := writeFile(path, func(w io.Writer) error {
-		zw := gzip.NewWriter(w)
-		zw.Name = key
-		if _, err := zw.Write(data); err != nil {
-			return err
-		}
-		return zw.Close()
+		return writeEntry(w, key, data)
 	})
 	if err != nil {
 		return

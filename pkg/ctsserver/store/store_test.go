@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -453,7 +454,7 @@ func TestManifestListsDroppedEntries(t *testing.T) {
 	}
 }
 
-// TestDamagedEntriesMiss damages entries in five ways and pins that each
+// TestDamagedEntriesMiss damages entries in six ways and pins that each
 // misses, is deleted and counts once in Corrupt while its neighbours still
 // hit: in the process that opened the store, after a restart that trusts
 // the manifest's listing, and after a restart with no manifest.
@@ -470,6 +471,9 @@ func TestDamagedEntriesMiss(t *testing.T) {
 		},
 		"emptied":     func([]byte, []byte) []byte { return nil },
 		"another key": func(_, other []byte) []byte { return other },
+		// A whole entry with another one appended: the first member alone
+		// is sound, but Put never writes two.
+		"second member": func(data, other []byte) []byte { return append(data, other...) },
 	}
 	for _, restart := range []string{"none", "listed", "unlisted"} {
 		t.Run("restart="+restart, func(t *testing.T) {
@@ -526,4 +530,139 @@ func TestDamagedEntriesMiss(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestEntryFormat pins what Put writes: one gzip member with the key as its
+// Name and the value in stored deflate blocks, so the file is no smaller
+// than the value however well it would compress, and larger only by the
+// gzip framing (10-byte header, the NUL-terminated key, 8-byte trailer)
+// and a 5-byte header for each 65,535-byte block plus the empty final
+// block that closes the stream.
+func TestEntryFormat(t *testing.T) {
+	dir := t.TempDir()
+	s := reopen(t, dir, 0)
+	const key = "format+verify"
+	value := benchValue(0, 150_000) // JSON-shaped: compressible, three blocks
+	s.Put(key, value)
+	file, err := os.ReadFile(filepath.Join(dir, entryFile(key)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := oneMember(file, key)
+	if !ok || !bytes.Equal(got, value) {
+		t.Fatalf("entry is not one gzip member named %q holding the value (ok=%v)", key, ok)
+	}
+	blocks := (len(value) + 65534) / 65535
+	if max := len(value) + 18 + len(key) + 1 + 5*(blocks+1); len(file) < len(value) || len(file) > max {
+		t.Errorf("entry file is %d bytes, want %d to %d", len(file), len(value), max)
+	}
+}
+
+// TestReadsEarlierEntries pins the upgrade path: entries written straight
+// into the directory compressed, at gzip.DefaultCompression and at
+// gzip.BestSpeed, as earlier builds' Put wrote them, are indexed by Open
+// both from their headers (no manifest) and from a manifest that lists
+// them, served byte for byte, and charged their file sizes.
+func TestReadsEarlierEntries(t *testing.T) {
+	dir := t.TempDir()
+	values := map[string][]byte{}
+	var size int64
+	for i, level := range []int{gzip.DefaultCompression, gzip.BestSpeed} {
+		key := fmt.Sprintf("level%d", level)
+		values[key] = benchValue(i, 20<<10)
+		var buf bytes.Buffer
+		zw, err := gzip.NewWriterLevel(&buf, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zw.Name = key
+		zw.Write(values[key])
+		zw.Close()
+		if buf.Len() >= len(values[key]) {
+			t.Fatalf("level %d entry is %d bytes, not compressed", level, buf.Len())
+		}
+		size += int64(buf.Len())
+		if err := os.WriteFile(filepath.Join(dir, entryFile(key)), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(s *Store) {
+		t.Helper()
+		if st := s.Stats(); st.Entries != len(values) || st.Bytes != size || st.Corrupt != 0 {
+			t.Errorf("stats %+v, want %d entries of %d bytes", st, len(values), size)
+		}
+		for key, value := range values {
+			if got, ok := s.Get(key); !ok || !bytes.Equal(got, value) {
+				t.Errorf("%s: ok=%v, value not served byte for byte", key, ok)
+			}
+		}
+	}
+	check(reopen(t, dir, 0)) // no manifest: the keys come from the headers
+	if got := listedKeys(t, dir); len(got) != len(values) {
+		t.Fatalf("manifest lists %v, want both entries", got)
+	}
+	check(reopen(t, dir, 0))
+}
+
+// oneMember is the entry format's reference reader: the content of file if
+// gzip reads it as exactly one member named key with nothing after it.
+func oneMember(file []byte, key string) ([]byte, bool) {
+	r := bytes.NewReader(file)
+	zr, err := gzip.NewReader(r)
+	if err != nil || zr.Name != key {
+		return nil, false
+	}
+	zr.Multistream(false)
+	data, err := io.ReadAll(zr)
+	if err != nil || r.Len() != 0 {
+		return nil, false
+	}
+	return data, true
+}
+
+// FuzzStoreEntry holds entry recovery to oneMember: whatever bytes sit in
+// key k's entry file, Open and Get never panic, and both Gets serve what
+// oneMember reads, or, where it reads nothing, miss after the entry is
+// deleted and counted once in Corrupt.  Each input is opened twice, with
+// no manifest (the key comes from the header) and with a manifest that
+// lists k (the header is first read by Get).
+func FuzzStoreEntry(f *testing.F) {
+	const key = "k"
+	listing, err := json.Marshal(manifest{Version: 1, Entries: map[string]manifestEntry{key: {File: entryFile(key)}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, file []byte) {
+		want, sound := oneMember(file, key)
+		dir := t.TempDir()
+		path := filepath.Join(dir, entryFile(key))
+		for _, listed := range []bool{false, true} {
+			if err := os.WriteFile(path, file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			manifestPath := filepath.Join(dir, manifestName)
+			if err := os.Remove(manifestPath); err != nil && !os.IsNotExist(err) {
+				t.Fatal(err)
+			}
+			if listed {
+				if err := os.WriteFile(manifestPath, listing, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s := reopen(t, dir, 0)
+			for try := 0; try < 2; try++ {
+				if got, ok := s.Get(key); ok != sound || !bytes.Equal(got, want) {
+					t.Fatalf("listed=%v, Get %d: ok=%v, want ok=%v and the reference's %d bytes", listed, try, ok, sound, len(want))
+				}
+			}
+			var corrupt int64
+			if !sound {
+				corrupt = 1
+			}
+			_, err := os.Stat(path)
+			if st := s.Stats(); st.Corrupt != corrupt || os.IsNotExist(err) == sound {
+				t.Fatalf("listed=%v: stats %+v, file stat error %v; want %d corrupt", listed, st, err, corrupt)
+			}
+		}
+	})
 }

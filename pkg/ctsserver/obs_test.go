@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/obs"
+	"repro/pkg/cts"
 )
 
 // scrapeMetrics fetches GET /metrics and strictly parses the exposition; any
@@ -330,4 +333,264 @@ func TestJobTrace(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("trace of unknown job: %s, want 404", resp.Status)
 	}
+}
+
+// stageExec is one stage execution read off a job's SSE log: the span the
+// served trace must show for it under "run".
+type stageExec struct {
+	stage         string
+	level         int
+	ended         bool
+	pairs, reused int
+	elapsedMs     float64
+}
+
+// stageExecs pairs a flow log's stage-start and stage-end events, one entry
+// per stage-start in event order.
+func stageExecs(events []cts.WireEvent) []stageExec {
+	var out []stageExec
+	for _, e := range events {
+		switch e.Kind {
+		case "stage-start":
+			out = append(out, stageExec{stage: e.Stage, level: e.Level})
+		case "stage-end":
+			for i := len(out) - 1; i >= 0; i-- {
+				if x := &out[i]; x.stage == e.Stage && x.level == e.Level && !x.ended {
+					x.ended, x.pairs, x.reused, x.elapsedMs = true, e.Pairs, e.Reused, e.ElapsedMs
+					break
+				}
+			}
+		}
+	}
+	return out
+}
+
+// checkStageSpans compares run's children with the stage executions of the
+// job's log: one span per execution, in event order, named for the stage,
+// with level/pairs/reused attrs exactly where the events carry them and the
+// flow's own Elapsed as the duration of every stage the run ended.
+func checkStageSpans(t *testing.T, run *obs.SpanJSON, want []stageExec) {
+	t.Helper()
+	if len(run.Spans) != len(want) {
+		t.Fatalf("run has %d stage spans, the log %d stage executions", len(run.Spans), len(want))
+	}
+	attr := func(n int) string {
+		if n > 0 {
+			return strconv.Itoa(n)
+		}
+		return ""
+	}
+	for i, w := range want {
+		sp := run.Spans[i]
+		if sp.Name != w.stage {
+			t.Errorf("stage span %d is %q, want %q", i, sp.Name, w.stage)
+		}
+		wantAttrs := map[string]string{"level": attr(w.level), "pairs": "", "reused": ""}
+		if w.ended {
+			wantAttrs["pairs"], wantAttrs["reused"] = attr(w.pairs), attr(w.reused)
+			if sp.DurationMs != w.elapsedMs {
+				t.Errorf("%s span %d lasts %vms, its stage-end event %vms", w.stage, i, sp.DurationMs, w.elapsedMs)
+			}
+		}
+		for k, v := range wantAttrs {
+			if got, ok := sp.Attrs[k]; got != v || ok != (v != "") {
+				t.Errorf("%s span %d: attr %s = %q (present %v), want %q", w.stage, i, k, got, ok, v)
+			}
+		}
+		if len(sp.Attrs) > 3 || len(sp.Spans) != 0 {
+			t.Errorf("%s span %d carries extra attrs or children: %+v", w.stage, i, sp)
+		}
+	}
+}
+
+// streamEvents replays a job's SSE log and returns its flow events and final
+// status.
+func streamEvents(t *testing.T, cl *Client, id string) ([]cts.WireEvent, *JobStatus) {
+	t.Helper()
+	var events []cts.WireEvent
+	final, err := cl.Stream(context.Background(), id, func(we cts.WireEvent) { events = append(events, we) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events, final
+}
+
+// traceRun returns the root and run spans of a trace, failing unless the
+// root is a single "job" span whose children are exactly queued and run.
+func traceRun(t *testing.T, tr *JobTrace) (root, queued, run *obs.SpanJSON) {
+	t.Helper()
+	if len(tr.Spans) != 1 || tr.Spans[0].Name != "job" {
+		t.Fatalf("want a single root span named job, got %+v", tr.Spans)
+	}
+	root = tr.Spans[0]
+	if len(root.Spans) != 2 || root.Spans[0].Name != "queued" || root.Spans[1].Name != "run" {
+		t.Fatalf("root children = %+v, want queued then run", root.Spans)
+	}
+	return root, root.Spans[0], root.Spans[1]
+}
+
+// TestJobTraceStages pins the served span tree against the job's own event
+// log: the stage spans of a done job and of a baseJob delta, a job canceled
+// while merge-routing, and a fetch while the job runs.
+func TestJobTraceStages(t *testing.T) {
+	_, cl := newTestServer(t, Options{Workers: 2, QueueDepth: 8})
+	ctx := context.Background()
+
+	base := scaledRequest(t, 48)
+	stBase, err := cl.Submit(ctx, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("done", func(t *testing.T) {
+		events, fin := streamEvents(t, cl, stBase.ID)
+		if fin.State != StateDone {
+			t.Fatalf("job finished %s: %s", fin.State, fin.Error)
+		}
+		_, tr := fetchTrace(t, cl, stBase.ID)
+		_, _, run := traceRun(t, tr)
+		want := stageExecs(events)
+		checkStageSpans(t, run, want)
+
+		// The levelized flow: topology then mergeroute per level, each with
+		// its level and mergeroute with its pairs, then the two whole-tree
+		// stages without one.
+		var m map[string]any
+		if err := json.Unmarshal(fin.Result, &m); err != nil {
+			t.Fatal(err)
+		}
+		levels := int(m["levels"].(float64))
+		if levels < 2 || len(want) != 2*levels+2 {
+			t.Fatalf("%d levels, %d stage executions", levels, len(want))
+		}
+		for l := 1; l <= levels; l++ {
+			topo, mr := run.Spans[2*l-2], run.Spans[2*l-1]
+			if topo.Name != cts.StageTopology || mr.Name != cts.StageMergeRoute {
+				t.Fatalf("level %d spans %q, %q", l, topo.Name, mr.Name)
+			}
+			if topo.Attrs["level"] != strconv.Itoa(l) || mr.Attrs["level"] != strconv.Itoa(l) {
+				t.Errorf("level %d spans carry levels %q, %q", l, topo.Attrs["level"], mr.Attrs["level"])
+			}
+			if mr.Attrs["pairs"] == "" {
+				t.Errorf("mergeroute level %d has no pairs attr", l)
+			}
+		}
+		for i, stage := range []string{cts.StageBuffering, cts.StageTiming} {
+			sp := run.Spans[2*levels+i]
+			if sp.Name != stage || sp.Attrs["level"] != "" {
+				t.Errorf("span %d = %q with attrs %v, want %s without a level", 2*levels+i, sp.Name, sp.Attrs, stage)
+			}
+		}
+	})
+
+	t.Run("baseJob delta", func(t *testing.T) {
+		delta := base
+		delta.Sinks = append([]Sink(nil), base.Sinks...)
+		delta.Sinks[3].X += 40
+		delta.BaseJob = stBase.ID
+		st, err := cl.Submit(ctx, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events, fin := streamEvents(t, cl, st.ID)
+		if fin.State != StateDone || fin.CacheHit {
+			t.Fatalf("delta job finished %s (cacheHit %v): %s", fin.State, fin.CacheHit, fin.Error)
+		}
+		_, tr := fetchTrace(t, cl, st.ID)
+		_, _, run := traceRun(t, tr)
+		checkStageSpans(t, run, stageExecs(events))
+		reused := 0
+		for _, sp := range run.Spans {
+			if sp.Name == cts.StageMergeRoute && sp.Attrs["reused"] != "" {
+				reused++
+			}
+		}
+		if reused == 0 {
+			t.Error("no mergeroute span of the delta carries a reused attr")
+		}
+	})
+
+	t.Run("canceled during merge-routing", func(t *testing.T) {
+		bm, err := bench.SyntheticScaled("r5", 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := cl.Submit(ctx, JobRequest{Name: bm.Name, Sinks: SinksFromCTS(bm.Sinks)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var events []cts.WireEvent
+		canceled := false
+		fin, err := cl.Stream(ctx, st.ID, func(we cts.WireEvent) {
+			events = append(events, we)
+			if !canceled && we.Kind == "stage-start" && we.Stage == cts.StageMergeRoute {
+				canceled = true
+				if _, err := cl.Cancel(ctx, st.ID); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin.State != StateCanceled {
+			t.Fatalf("job finished %s, want canceled", fin.State)
+		}
+		_, tr := fetchTrace(t, cl, st.ID)
+		root, _, run := traceRun(t, tr)
+		if tr.State != StateCanceled || root.Attrs["state"] != string(StateCanceled) {
+			t.Errorf("trace state %s, root attrs %v, want canceled", tr.State, root.Attrs)
+		}
+		var assertClosed func(sp *obs.SpanJSON)
+		assertClosed = func(sp *obs.SpanJSON) {
+			if sp.Open {
+				t.Errorf("span %q still open in a canceled trace", sp.Name)
+			}
+			for _, c := range sp.Spans {
+				assertClosed(c)
+			}
+		}
+		assertClosed(root)
+		want := stageExecs(events)
+		checkStageSpans(t, run, want)
+
+		last := run.Spans[len(run.Spans)-1]
+		if last.Name != cts.StageMergeRoute || want[len(want)-1].ended {
+			t.Fatalf("last stage span %q (ended by the flow: %v), want an unfinished mergeroute",
+				last.Name, want[len(want)-1].ended)
+		}
+		// The stage the run never ended closes with the run.  The slack
+		// covers float rounding of the offsets.
+		const slack = 1.0
+		if last.StartMs < run.StartMs || last.StartMs+last.DurationMs > run.StartMs+run.DurationMs+slack {
+			t.Errorf("unfinished mergeroute [%v, +%v]ms outside run [%v, +%v]ms",
+				last.StartMs, last.DurationMs, run.StartMs, run.DurationMs)
+		}
+	})
+
+	t.Run("mid-run fetch", func(t *testing.T) {
+		srv, cl := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
+		release := make(chan struct{})
+		hook, started := blockingHook(release)
+		started.Add(1)
+		srv.runHook = hook
+		st, err := cl.Submit(ctx, scaledRequest(t, 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		started.Wait()
+		_, tr := fetchTrace(t, cl, st.ID)
+		root, queued, run := traceRun(t, tr)
+		if tr.State != StateRunning {
+			t.Errorf("trace state %s, want running", tr.State)
+		}
+		if !root.Open || !run.Open || queued.Open {
+			t.Errorf("open marks: job %v, queued %v, run %v; want true, false, true", root.Open, queued.Open, run.Open)
+		}
+		if run.StartMs != queued.DurationMs {
+			t.Errorf("run starts at %vms, queued ends at %vms", run.StartMs, queued.DurationMs)
+		}
+		close(release)
+		waitTerminal(t, cl, st.ID)
+	})
 }

@@ -1,10 +1,10 @@
 // Package obs is the dependency-free observability toolkit behind ctsd's
-// GET /metrics endpoint and per-job trace spans: counters and gauges read
-// at scrape time, fixed-bucket histograms over lock-cheap atomics,
-// percentile estimation from histogram buckets, Prometheus text-format
-// exposition (and a matching parser, used by the exposition tests and the
-// cmd/ctsload report), and a lightweight span tracer with a per-job span
-// tree and JSON rendering.
+// GET /metrics endpoint and per-job traces: counters and gauges read at
+// scrape time, fixed-bucket histograms over lock-cheap atomics, percentile
+// estimation from histogram buckets, Prometheus text-format exposition (and
+// a matching parser, used by the exposition tests and the cmd/ctsload
+// report), and SpanJSON, the wire form of a trace span.  It records no
+// spans: ctsd renders a job's trace from the job's own event log.
 //
 // The package is deliberately stdlib-only.  A counter or gauge series is a
 // Func: the registry calls it at scrape time to read state its owner
@@ -28,7 +28,7 @@
 // MergeParsed produce, so one writer (WriteText) and one reader serve all
 // three.
 //
-// Time-stamped data (span start times, uptime) makes this package
+// Time-stamped data (uptime, latency observations) makes this package
 // inherently non-deterministic; it must never feed synthesis results.  See
 // the determinism-scope note in internal/analysis/determinism/scope.go.
 package obs

@@ -1,119 +1,11 @@
 package obs
 
-import (
-	"sync"
-	"time"
-)
-
-// Attr is one key/value annotation on a span.
-type Attr struct {
-	// Key and Value are the annotation pair; values are strings so span
-	// trees render to JSON without type switches.
-	Key, Value string
-}
-
-// span is the internal record; the wire form is SpanJSON.
-type span struct {
-	parent   int // index into Trace.spans; -1 for roots
-	name     string
-	start    time.Time
-	duration time.Duration
-	ended    bool
-	attrs    []Attr
-}
-
-// Trace is one span tree under construction: a job-scoped recorder of
-// named, nested, timed regions.  Span identities are small ints handed out
-// by Start, so instrumented code carries no pointers into the trace; End
-// and SetAttr are no-ops on out-of-range ids (a span that was never opened
-// because its region was skipped).  All methods are safe for concurrent
-// use, but the tree shape is the caller's: a span's parent must have been
-// started first.
-//
-// Times come from the wall clock at Start; durations come from the wall
-// clock at End or from the caller via EndIn (instrumentation that already
-// measured its region — cts stage events carry Elapsed — reports exact
-// durations instead of re-measuring).  Snapshots of a finished trace are
-// stable: rendering reads only recorded values, never the clock, which is
-// what makes a completed job's trace replayable byte for byte.
-type Trace struct {
-	mu    sync.Mutex
-	start time.Time
-	spans []span // guarded by mu
-}
-
-// NewTrace starts an empty trace whose span offsets are measured from now.
-func NewTrace() *Trace { return NewTraceAt(time.Now()) }
-
-// NewTraceAt starts an empty trace anchored at the given instant (a job
-// trace anchors at admission so the queue-wait span starts at offset 0).
-func NewTraceAt(t time.Time) *Trace { return &Trace{start: t} }
-
-// Anchor returns the trace's zero instant.
-func (t *Trace) Anchor() time.Time { return t.start }
-
-// Start opens a span under parent (-1 for a root) and returns its id.
-func (t *Trace) Start(parent int, name string, attrs ...Attr) int {
-	return t.StartAt(parent, name, time.Now(), attrs...)
-}
-
-// StartAt opens a span with an explicit start instant.
-func (t *Trace) StartAt(parent int, name string, at time.Time, attrs ...Attr) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if parent < -1 || parent >= len(t.spans) {
-		parent = -1
-	}
-	t.spans = append(t.spans, span{parent: parent, name: name, start: at, attrs: attrs})
-	return len(t.spans) - 1
-}
-
-// End closes the span now.  Ending an already-ended or unknown span is a
-// no-op, so racing finishers (a cancel against a normal completion) resolve
-// to exactly one duration.
-func (t *Trace) End(id int) {
-	now := time.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if id < 0 || id >= len(t.spans) || t.spans[id].ended {
-		return
-	}
-	t.spans[id].ended = true
-	t.spans[id].duration = now.Sub(t.spans[id].start)
-}
-
-// EndIn closes the span with an externally measured duration.
-func (t *Trace) EndIn(id int, d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if id < 0 || id >= len(t.spans) || t.spans[id].ended {
-		return
-	}
-	t.spans[id].ended = true
-	t.spans[id].duration = d
-}
-
-// SetAttr adds (or overwrites) an annotation on an open or closed span.
-func (t *Trace) SetAttr(id int, key, value string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if id < 0 || id >= len(t.spans) {
-		return
-	}
-	for i, a := range t.spans[id].attrs {
-		if a.Key == key {
-			t.spans[id].attrs[i].Value = value
-			return
-		}
-	}
-	t.spans[id].attrs = append(t.spans[id].attrs, Attr{Key: key, Value: value})
-}
-
-// SpanJSON is the wire form of one span: offsets and durations in
-// milliseconds from the trace anchor, children nested in start order.  A
-// span still open at snapshot time carries open=true and a zero duration.
+// SpanJSON is the wire form of one span of a trace: offsets and durations
+// in milliseconds from the trace anchor, children nested in start order.  A
+// span still open when the tree was rendered carries open=true and a zero
+// duration.
 type SpanJSON struct {
-	// Name is the span name ("run", "topology", "level-3", …).
+	// Name is the span name ("job", "run", "topology", …).
 	Name string `json:"name"`
 	// StartMs is the span's start offset from the trace anchor.
 	StartMs float64 `json:"startMs"`
@@ -125,57 +17,4 @@ type SpanJSON struct {
 	Attrs map[string]string `json:"attrs,omitempty"`
 	// Spans are the child spans in start order.
 	Spans []*SpanJSON `json:"spans,omitempty"`
-}
-
-// Tree renders the span forest: every root span with its children nested,
-// in start (id) order.
-func (t *Trace) Tree() []*SpanJSON {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	nodes := make([]*SpanJSON, len(t.spans))
-	var roots []*SpanJSON
-	for i, s := range t.spans {
-		n := &SpanJSON{
-			Name:       s.name,
-			StartMs:    float64(s.start.Sub(t.start)) / float64(time.Millisecond),
-			DurationMs: float64(s.duration) / float64(time.Millisecond),
-			Open:       !s.ended,
-		}
-		if len(s.attrs) > 0 {
-			n.Attrs = make(map[string]string, len(s.attrs))
-			for _, a := range s.attrs {
-				n.Attrs[a.Key] = a.Value
-			}
-		}
-		nodes[i] = n
-		if s.parent == -1 {
-			roots = append(roots, n)
-		} else {
-			p := nodes[s.parent]
-			p.Spans = append(p.Spans, n)
-		}
-	}
-	return roots
-}
-
-// Len returns the number of spans recorded so far.
-func (t *Trace) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
-}
-
-// ApproxBytes estimates the trace's retained size (for retention
-// accounting: spans plus their attribute strings).
-func (t *Trace) ApproxBytes() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	size := int64(len(t.spans)) * 96
-	for _, s := range t.spans {
-		size += int64(len(s.name))
-		for _, a := range s.attrs {
-			size += int64(len(a.Key) + len(a.Value))
-		}
-	}
-	return size
 }

@@ -89,17 +89,21 @@
 //
 // 200 with the job's JobTrace: the id, name, current state and a span tree
 // (repro/internal/obs SpanJSON — name, startMs offset from admission,
-// durationMs, attrs, children).  The root "job" span covers admission to
-// terminal and carries state and cacheHit attrs; its "queued" child covers
-// admission to worker pickup and its "run" child covers the synthesis,
-// with one child span per pipeline stage (named "stage/level" for the
-// leveled stages, carrying pairs/reused attrs where meaningful).  Stage
-// durations are the flow's own measured elapsed times, not re-measured at
-// render.  While the job is live the tree is a snapshot and open spans are
-// marked open:true; once the job is terminal the trace is frozen and
-// replays byte-identically, like the SSE event log.  Born-terminal jobs
-// (cache hits, born-expired) have no run span.  404 once retention has
-// forgotten the id.
+// durationMs, attrs, children), rendered from the job's event log, the
+// record the SSE stream replays, and its lifecycle instants.  The root
+// "job" span covers admission to terminal and carries state and cacheHit
+// attrs; its "queued" child covers admission to worker pickup and its
+// "run" child covers the synthesis, with one child span per stage
+// execution, named for the stage ("topology", "mergeroute", "buffering",
+// "timing").  The leveled stages carry a level attr, and mergeroute spans
+// carry pairs and, when merges came from the subtree cache, reused.
+// Stage durations are the flow's own measured elapsed times, not
+// re-measured at render; a stage the run never ended (a canceled run)
+// closes when the job finished.  While the job is live the tree is a
+// snapshot and open spans are marked open:true; once the job is terminal
+// the trace is frozen and replays byte-identically, like the SSE event
+// log.  Born-terminal jobs (cache hits, born-expired) have no run span.
+// 404 once retention has forgotten the id.
 //
 // # GET /metrics
 //

@@ -143,21 +143,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	key, err := req.key(sinks)
-	var jb *job
-	var flow *cts.Flow
-	if err == nil {
-		flow, err = s.buildFlow(req, func() *job { return jb })
-	}
 	if err != nil {
 		writeError(w, &APIError{HTTPStatus: http.StatusBadRequest, Code: ErrBadSetting, Message: err.Error()})
 		return
 	}
 
-	j := newJob(s.newJobID(), req, key, flow, sinks, priority, deadline)
-	if req.BaseJob != "" {
-		j.baseJob = req.BaseJob
-		j.incremental = true
-	}
+	j := newJob(s.newJobID(), req, key, sinks, priority, deadline)
 	if data, hit := s.cache.Get(key); hit {
 		// Cache hit (memory-, disk- or peer-served, a peer's value re-cached
 		// locally): the job is born terminal and no synthesis runs.  The
@@ -182,6 +173,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, j.status())
 		return
 	}
+	// Only a job that will run gets a flow: key has already rejected every
+	// setting New would, so hits and born-expired jobs need none.
+	if j.flow, err = s.buildFlow(req, j); err != nil {
+		writeError(w, &APIError{HTTPStatus: http.StatusBadRequest, Code: ErrBadSetting, Message: err.Error()})
+		return
+	}
 
 	// The job context carries the deadline, so a run that outlives it is
 	// canceled mid-flight and terminates as expired.
@@ -193,7 +190,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithDeadline(context.Background(), deadline)
 	}
 	j.ctx, j.cancel = ctx, cancel
-	jb = j
 	s.register(j)
 	if err := s.sched.enqueue(j); err != nil {
 		s.mu.Lock()
@@ -278,23 +274,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleTrace implements GET /v1/jobs/{id}/trace: the job's span tree.  The
-// trace of a non-terminal job is a live snapshot (open spans carry
-// open=true); a terminal job's trace is frozen, so replays are
-// byte-identical.
+// handleTrace implements GET /v1/jobs/{id}/trace: the job's span tree,
+// rendered from its event log (see job.trace).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r.PathValue("id"))
 	if !ok {
 		writeNotFound(w, r)
 		return
 	}
-	st := j.status()
-	writeJSON(w, http.StatusOK, JobTrace{
-		ID:    j.id,
-		Name:  j.name,
-		State: st.State,
-		Spans: j.trace.tree(),
-	})
+	writeJSON(w, http.StatusOK, j.trace())
 }
 
 // handleMetrics implements GET /metrics: the Prometheus text exposition of

@@ -11,27 +11,28 @@ import (
 
 // jobEvent is one entry of a job's event log, ready to be written to an SSE
 // stream: a monotonically increasing sequence number (the SSE id), the SSE
-// event type (EventTypeFlow or EventTypeDone) and the JSON payload.
+// event type (EventTypeFlow or EventTypeDone) and the JSON payload.  at is
+// the instant the log received the entry; it stays off the wire and places
+// the stage spans of the job's trace.
 type jobEvent struct {
 	seq  int
 	kind string
 	data json.RawMessage
+	at   time.Time
 }
 
 // job is one submitted synthesis run.  The whole event history is retained
 // (a run emits a few events per topology level, so the log stays small),
 // which is what lets late SSE subscribers replay a finished job from the
-// start, terminal event included.
+// start, terminal event included, and what its trace is rendered from.
 type job struct {
 	id        string
 	name      string
 	key       string
 	sinkCount int
-	verify    bool
-	// baseJob/incremental route the run through the delta path when the
-	// request named a base job; both are fixed before the job is enqueued.
-	baseJob     string
-	incremental bool
+	// baseJob routes the run through the delta path when the request named
+	// a base job; it is fixed at submission.
+	baseJob string
 	// priority and deadline drive the dispatch order (see jobQueue.Less);
 	// both are fixed at submission.  A zero deadline means none.
 	priority Priority
@@ -46,15 +47,10 @@ type job struct {
 
 	// sinks and flow are only needed while the job can still run; finish
 	// drops them so the retention window does not pin large sink sets (and
-	// their flows) in a long-lived daemon.
+	// their flows) in a long-lived daemon.  flow is set before the job is
+	// enqueued and stays nil for a job born terminal.
 	sinks []cts.Sink
 	flow  *cts.Flow
-
-	// trace is the job's span tree (GET /v1/jobs/{id}/trace).  It is built
-	// once and retained past finish — unlike sinks/flow it is a few spans
-	// per level, so it costs retention little and makes completed jobs
-	// replayable.  It has its own locking.
-	trace *jobTrace
 
 	mu       sync.Mutex
 	state    JobState   // guarded by mu
@@ -70,22 +66,19 @@ type job struct {
 	finished time.Time // guarded by mu
 }
 
-func newJob(id string, req JobRequest, key string, flow *cts.Flow, sinks []cts.Sink, priority Priority, deadline time.Time) *job {
-	created := time.Now()
+func newJob(id string, req JobRequest, key string, sinks []cts.Sink, priority Priority, deadline time.Time) *job {
 	return &job{
 		id:        id,
 		name:      req.Name,
 		key:       key,
 		sinkCount: len(sinks),
+		baseJob:   req.BaseJob,
 		sinks:     sinks,
-		flow:      flow,
-		verify:    req.Verify,
 		priority:  priority,
 		deadline:  deadline,
 		state:     StateQueued,
 		notify:    make(chan struct{}),
-		created:   created,
-		trace:     newJobTrace(created),
+		created:   time.Now(),
 	}
 }
 
@@ -96,15 +89,16 @@ func (j *job) wake() {
 	j.notify = make(chan struct{})
 }
 
-// appendFlow adds one observer event to the log.
+// appendFlow adds one observer event to the log, stamped with its arrival.
 func (j *job) appendFlow(w cts.WireEvent) {
+	at := time.Now()
 	data, err := json.Marshal(w)
 	if err != nil {
 		return
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.log = append(j.log, jobEvent{seq: len(j.log), kind: EventTypeFlow, data: data})
+	j.log = append(j.log, jobEvent{seq: len(j.log), kind: EventTypeFlow, data: data, at: at})
 	j.wake()
 }
 
@@ -118,7 +112,6 @@ func (j *job) setRunning() bool {
 	}
 	j.state = StateRunning
 	j.started = time.Now()
-	j.trace.markRunning(j.started)
 	j.wake()
 	return true
 }
@@ -145,10 +138,9 @@ func (j *job) finish(from, state JobState, cacheHit bool, result json.RawMessage
 	j.result = result
 	j.errMsg = errMsg
 	j.finished = time.Now()
-	j.trace.finish(state, cacheHit, j.started, j.finished)
 	data, err := json.Marshal(j.statusLocked())
 	if err == nil {
-		j.log = append(j.log, jobEvent{seq: len(j.log), kind: EventTypeDone, data: data})
+		j.log = append(j.log, jobEvent{seq: len(j.log), kind: EventTypeDone, data: data, at: j.finished})
 	}
 	j.wake()
 	return true
@@ -182,15 +174,15 @@ func (j *job) statusLocked() JobStatus {
 
 // retainedSize approximates the bytes a terminal job pins: its result JSON
 // plus the event-log payloads (which embed the result once more in the
-// terminal event) and the retained trace spans.
+// terminal event).
 func (j *job) retainedSize() int64 {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	size := int64(len(j.result))
 	for _, ev := range j.log {
 		size += int64(len(ev.data))
 	}
-	j.mu.Unlock()
-	return size + j.trace.tr.ApproxBytes()
+	return size
 }
 
 // times snapshots the job's lifecycle timestamps (for latency metrics at the

@@ -390,7 +390,7 @@ func (s *Server) runSynthesis(j *job) (*cts.Result, error) {
 	if s.runHook != nil {
 		return s.runHook(j.ctx, j)
 	}
-	if j.incremental {
+	if j.baseJob != "" {
 		return j.flow.RunIncremental(j.ctx, nil, j.sinks)
 	}
 	return j.flow.Run(j.ctx, j.sinks)
@@ -400,9 +400,10 @@ func (s *Server) runSynthesis(j *job) (*cts.Result, error) {
 // request verification.
 const verifyTimeStep = 1
 
-// buildFlow assembles the per-job flow from the request settings.  The
-// observer stream feeds both the server-wide metrics and the job's SSE log.
-func (s *Server) buildFlow(req JobRequest, j func() *job) (*cts.Flow, error) {
+// buildFlow assembles the job's flow from the request settings.  The
+// observer stream feeds both the server-wide metrics and the job's event
+// log, which /events replays and the trace is rendered from.
+func (s *Server) buildFlow(req JobRequest, j *job) (*cts.Flow, error) {
 	var set cts.Settings
 	if req.Settings != nil {
 		set = *req.Settings
@@ -426,10 +427,7 @@ func (s *Server) buildFlow(req JobRequest, j func() *job) (*cts.Flow, error) {
 	opts = append(opts,
 		cts.WithObserver(func(e cts.Event) {
 			s.metrics.Observe(e)
-			if jb := j(); jb != nil {
-				jb.trace.observe(e)
-				jb.appendFlow(e.Wire())
-			}
+			j.appendFlow(e.Wire())
 		}),
 	)
 	if req.Verify {

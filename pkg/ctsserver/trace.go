@@ -1,120 +1,107 @@
 package ctsserver
 
 import (
-	"fmt"
-	"sync"
+	"encoding/json"
+	"strconv"
 	"time"
 
 	"repro/internal/obs"
 	"repro/pkg/cts"
 )
 
-// jobTrace is one job's span tree: a root "job" span anchored at admission,
-// a "queued" child covering the scheduler wait, a "run" child covering the
-// synthesis, and one child span under "run" per observer stage execution
-// (per level for the leveled stages).  Span durations come from the same
-// measurements the rest of the system already reports — the job's lifecycle
-// timestamps and the observer events' Elapsed — so the trace of a completed
-// job is a replayable record, not a re-measurement: once the job is
-// terminal, repeated renderings are byte-identical.
-type jobTrace struct {
-	tr     *obs.Trace
-	root   int
-	queued int
+// trace renders the job's span tree (GET /v1/jobs/{id}/trace) from what the
+// job already records: its lifecycle instants and the event log /events
+// replays.  The root "job" span is anchored at admission; its "queued" child
+// covers the scheduler wait and its "run" child the synthesis.  Under run,
+// each stage-start event opens a span named for its stage at the instant the
+// log received it, and the matching stage-end closes it with the flow's own
+// Elapsed; a stage the run never ended closes at finished.  Rendering reads
+// no clock, so a terminal job's trace is frozen and replays byte-identically;
+// while the job is live, the spans not yet closed are marked open.
+func (j *job) trace() JobTrace {
+	j.mu.Lock()
+	state, cacheHit := j.state, j.cacheHit
+	started, finished := j.started, j.finished
+	log := j.log // append-only: the entries read below never change
+	j.mu.Unlock()
 
-	mu  sync.Mutex
-	run int // guarded by mu; -1 until the job starts
-	// open maps stage/level to its open span while the stage runs.  Observer
-	// emission is serialized per flow, but End races lifecycle calls from
-	// other goroutines, hence the lock.
-	open map[string]int // guarded by mu
-}
-
-// newJobTrace opens the root and queued spans at admission time.
-func newJobTrace(created time.Time) *jobTrace {
-	t := &jobTrace{tr: obs.NewTraceAt(created), run: -1, open: map[string]int{}}
-	t.root = t.tr.StartAt(-1, "job", created)
-	t.queued = t.tr.StartAt(t.root, "queued", created)
-	return t
-}
-
-// markRunning closes the queued span and opens the run span at the moment a
-// worker picked the job up.
-func (t *jobTrace) markRunning(started time.Time) {
-	t.tr.EndIn(t.queued, started.Sub(t.tr.Anchor()))
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.run = t.tr.StartAt(t.root, "run", started)
-}
-
-// stageKey names one stage execution; the leveled stages run once per level.
-func stageKey(stage string, level int) string {
-	if level > 0 {
-		return fmt.Sprintf("%s/%d", stage, level)
-	}
-	return stage
-}
-
-// observe folds one observer event into the span tree.  Stage-start opens a
-// span under run; stage-end closes it with the event's own Elapsed and
-// annotates the merge-route batches with their pair and cache-reuse counts.
-func (t *jobTrace) observe(e cts.Event) {
-	switch e.Kind {
-	case cts.EventStageStart:
-		t.mu.Lock()
-		parent := t.run
-		if parent < 0 {
-			parent = t.root
-		}
-		var attrs []obs.Attr
-		if e.Level > 0 {
-			attrs = append(attrs, obs.Attr{Key: "level", Value: fmt.Sprint(e.Level)})
-		}
-		t.open[stageKey(e.Stage, e.Level)] = t.tr.StartAt(parent, e.Stage, time.Now(), attrs...)
-		t.mu.Unlock()
-	case cts.EventStageEnd:
-		key := stageKey(e.Stage, e.Level)
-		t.mu.Lock()
-		id, ok := t.open[key]
-		if ok {
-			delete(t.open, key)
-		}
-		t.mu.Unlock()
-		if !ok {
-			return
-		}
-		t.tr.EndIn(id, e.Elapsed)
-		if e.Pairs > 0 {
-			t.tr.SetAttr(id, "pairs", fmt.Sprint(e.Pairs))
-		}
-		if e.Reused > 0 {
-			t.tr.SetAttr(id, "reused", fmt.Sprint(e.Reused))
+	terminal := state.Terminal()
+	root := &obs.SpanJSON{Name: "job", Open: !terminal}
+	queued := &obs.SpanJSON{Name: "queued", Open: !terminal}
+	root.Spans = []*obs.SpanJSON{queued}
+	if terminal {
+		root.DurationMs = ms(finished.Sub(j.created))
+		queued.DurationMs = root.DurationMs // born terminal; run below ends it sooner
+		root.Attrs = map[string]string{"state": string(state)}
+		if cacheHit {
+			root.Attrs["cacheHit"] = "true"
 		}
 	}
+	if !started.IsZero() {
+		queued.Open, queued.DurationMs = false, ms(started.Sub(j.created))
+		run := &obs.SpanJSON{Name: "run", StartMs: queued.DurationMs, Open: !terminal}
+		if terminal {
+			run.DurationMs = ms(finished.Sub(started))
+		}
+		run.Spans = j.stageSpans(log, terminal, finished)
+		root.Spans = append(root.Spans, run)
+	}
+	return JobTrace{ID: j.id, Name: j.name, State: state, Spans: []*obs.SpanJSON{root}}
 }
 
-// finish closes every remaining span with the job's terminal timestamps and
-// stamps the outcome on the root.  Stages still open (a canceled run) end
-// with the run; the queued span of a born-terminal job ends at finish.
-func (t *jobTrace) finish(state JobState, cacheHit bool, started, finished time.Time) {
-	anchor := t.tr.Anchor()
-	t.mu.Lock()
-	run := t.run
-	for _, id := range t.open {
-		t.tr.End(id) // the stage died with the run; now ≈ finished
+// stageSpans renders one span per stage execution of the log, in event
+// order.  The leveled stages run once per level, so a stage-end closes the
+// open span of its stage and level.
+func (j *job) stageSpans(log []jobEvent, terminal bool, finished time.Time) []*obs.SpanJSON {
+	type execution struct {
+		stage string
+		level int
 	}
-	t.open = map[string]int{}
-	t.mu.Unlock()
-	if run >= 0 {
-		t.tr.EndIn(run, finished.Sub(started))
+	type openSpan struct {
+		span *obs.SpanJSON
+		at   time.Time
 	}
-	t.tr.EndIn(t.queued, finished.Sub(anchor)) // no-op unless born terminal
-	t.tr.SetAttr(t.root, "state", string(state))
-	if cacheHit {
-		t.tr.SetAttr(t.root, "cacheHit", "true")
+	var spans []*obs.SpanJSON
+	open := map[execution]openSpan{}
+	for _, ev := range log {
+		var w cts.WireEvent
+		if ev.kind != EventTypeFlow || json.Unmarshal(ev.data, &w) != nil {
+			continue
+		}
+		key := execution{w.Stage, w.Level}
+		switch w.Kind {
+		case cts.EventStageStart.String():
+			sp := &obs.SpanJSON{Name: w.Stage, StartMs: ms(ev.at.Sub(j.created)), Open: true}
+			setCount(sp, "level", w.Level)
+			spans = append(spans, sp)
+			open[key] = openSpan{sp, ev.at}
+		case cts.EventStageEnd.String():
+			if o, ok := open[key]; ok {
+				delete(open, key)
+				o.span.Open, o.span.DurationMs = false, w.ElapsedMs
+				setCount(o.span, "pairs", w.Pairs)
+				setCount(o.span, "reused", w.Reused)
+			}
+		}
 	}
-	t.tr.EndIn(t.root, finished.Sub(anchor))
+	if terminal {
+		for _, o := range open {
+			o.span.Open, o.span.DurationMs = false, ms(finished.Sub(o.at))
+		}
+	}
+	return spans
 }
 
-// tree renders the span forest for the wire.
-func (t *jobTrace) tree() []*obs.SpanJSON { return t.tr.Tree() }
+// setCount annotates a span with a positive count.
+func setCount(sp *obs.SpanJSON, key string, n int) {
+	if n <= 0 {
+		return
+	}
+	if sp.Attrs == nil {
+		sp.Attrs = map[string]string{}
+	}
+	sp.Attrs[key] = strconv.Itoa(n)
+}
+
+// ms renders a duration in the wire's milliseconds.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

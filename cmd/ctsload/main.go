@@ -212,50 +212,31 @@ func scrape(client *http.Client, addr string) (*obs.ParsedMetrics, error) {
 	return m, nil
 }
 
-// decodeStats decodes a /v1/stats body from either a member or a gateway.
-// A gateway body carries a "merged" field (ctsserver.ClusterStats); the
-// merged view's scheduler gauges sum the members', which is exactly what
-// queue draining needs.
-func decodeStats(body []byte) (ctsserver.Stats, error) {
-	var probe struct {
-		Merged *ctsserver.Stats `json:"merged"`
-	}
-	if err := json.Unmarshal(body, &probe); err == nil && probe.Merged != nil {
-		return *probe.Merged, nil
-	}
-	var st ctsserver.Stats
-	if err := json.Unmarshal(body, &st); err != nil {
-		return st, fmt.Errorf("decoding /v1/stats: %w", err)
-	}
-	return st, nil
-}
-
-// drainQueue polls /v1/stats until no job is queued or running (or the wait
-// budget runs out), so the report covers completed work.  It understands
-// both stats shapes: a single ctsd's Stats, and a gateway's ClusterStats
-// (whose merged view sums the members' queues).
+// drainQueue polls /metrics until no job is queued or running (or the wait
+// budget runs out), so the report covers completed work.  A gateway's
+// exposition sums both gauges over the members it reached.
 func drainQueue(client *http.Client, cfg config) error {
 	deadline := time.Now().Add(cfg.wait)
 	for {
-		resp, err := client.Get(cfg.addr + "/v1/stats")
+		m, err := scrape(client, cfg.addr)
 		if err != nil {
 			return err
 		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("reading /v1/stats: %w", err)
+		running, ok := m.Value("ctsd_running_jobs", nil)
+		depth, ok2 := m.Family("ctsd_queue_depth")
+		if !ok || !ok2 {
+			return fmt.Errorf("GET /metrics: no ctsd_running_jobs or ctsd_queue_depth series")
 		}
-		st, err := decodeStats(body)
-		if err != nil {
-			return err
+		var queued float64
+		for _, s := range depth.Samples {
+			queued += s.Value
 		}
-		if st.Scheduler.Queued == 0 && st.Scheduler.Running == 0 {
+		if queued == 0 && running == 0 {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("queue did not drain within %v (%d queued, %d running)",
-				cfg.wait, st.Scheduler.Queued, st.Scheduler.Running)
+			return fmt.Errorf("queue did not drain within %v (%.0f queued, %.0f running)",
+				cfg.wait, queued, running)
 		}
 		time.Sleep(100 * time.Millisecond)
 	}

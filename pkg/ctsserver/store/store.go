@@ -49,6 +49,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
@@ -277,7 +278,7 @@ func (s *Store) Get(key string) (data []byte, ok bool) {
 	}
 	s.mu.Unlock()
 	path := filepath.Join(s.dir, e.File)
-	data, err := readEntry(path, key)
+	data, err := readEntry(path, key, e.Bytes)
 	s.mu.Lock()
 	cur, still := s.entries[key]
 	if err != nil {
@@ -313,8 +314,10 @@ func (s *Store) Get(key string) (data []byte, ok bool) {
 
 // readEntry reads one entry file, which must be a single gzip member
 // carrying key in its header; the gzip CRC check makes torn or bit-rotted
-// content surface as an error.
-func readEntry(path, key string) ([]byte, error) {
+// content surface as an error.  size is the file's size, which bounds the
+// value of an entry written with stored blocks, so the value is read into
+// one buffer (an entry written compressed may still grow it).
+func readEntry(path, key string, size int64) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -331,14 +334,16 @@ func readEntry(path, key string) ([]byte, error) {
 		return nil, fmt.Errorf("store: %s holds key %q, not %q", path, zr.Name, key)
 	}
 	zr.Multistream(false)
-	data, err := io.ReadAll(zr)
-	if err != nil {
+	// MinRead of slack keeps the final read, which finds EOF, from growing
+	// the buffer.
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	if _, err := buf.ReadFrom(zr); err != nil {
 		return nil, err
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("store: %s holds more than one gzip member", path)
 	}
-	return data, nil
+	return buf.Bytes(), nil
 }
 
 // writers pools the entry encoders: every gzip writer allocates a flate

@@ -594,3 +594,60 @@ func TestJobTraceStages(t *testing.T) {
 		waitTerminal(t, cl, st.ID)
 	})
 }
+
+// TestJobTraceWhileRunning renders a job's trace over and over while its
+// flow appends to the event log: every live rendering has the job and run
+// spans open and at most its last stage span open, and the terminal one is
+// closed throughout.  Under -race it checks that rendering reads the log
+// safely beside the appends.
+func TestJobTraceWhileRunning(t *testing.T) {
+	_, cl := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
+	bm, err := bench.SyntheticScaled("r5", 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := cl.Submit(context.Background(), JobRequest{Name: bm.Name, Sinks: SinksFromCTS(bm.Sinks)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := 0
+	for {
+		_, tr := fetchTrace(t, cl, st.ID)
+		if tr.State.Terminal() {
+			break
+		}
+		if tr.State != StateRunning {
+			continue
+		}
+		root, queued, run := traceRun(t, tr)
+		if !root.Open || queued.Open || !run.Open {
+			t.Fatalf("live open marks: job %v, queued %v, run %v", root.Open, queued.Open, run.Open)
+		}
+		for i, sp := range run.Spans {
+			if sp.Open && i != len(run.Spans)-1 {
+				t.Fatalf("stage span %d (%s) of %d open in a live trace", i, sp.Name, len(run.Spans))
+			}
+		}
+		if len(run.Spans) > 0 {
+			live++
+		}
+	}
+	if live == 0 {
+		t.Error("no rendering caught the run with a stage span")
+	}
+	_, tr := fetchTrace(t, cl, st.ID)
+	if tr.State != StateDone {
+		t.Fatalf("job finished %s", tr.State)
+	}
+	root, _, _ := traceRun(t, tr)
+	var assertClosed func(sp *obs.SpanJSON)
+	assertClosed = func(sp *obs.SpanJSON) {
+		if sp.Open {
+			t.Errorf("span %q still open in a terminal trace", sp.Name)
+		}
+		for _, c := range sp.Spans {
+			assertClosed(c)
+		}
+	}
+	assertClosed(root)
+}

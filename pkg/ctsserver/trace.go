@@ -50,44 +50,32 @@ func (j *job) trace() JobTrace {
 }
 
 // stageSpans renders one span per stage execution of the log, in event
-// order.  The leveled stages run once per level, so a stage-end closes the
-// open span of its stage and level.
+// order.  The flow runs its stages one after another, so a stage-end closes
+// the last span, and only the last span can be open.
 func (j *job) stageSpans(log []jobEvent, terminal bool, finished time.Time) []*obs.SpanJSON {
-	type execution struct {
-		stage string
-		level int
-	}
-	type openSpan struct {
-		span *obs.SpanJSON
-		at   time.Time
-	}
 	var spans []*obs.SpanJSON
-	open := map[execution]openSpan{}
+	var open *obs.SpanJSON // the last span, until its stage-end
+	var openAt time.Time
 	for _, ev := range log {
 		var w cts.WireEvent
 		if ev.kind != EventTypeFlow || json.Unmarshal(ev.data, &w) != nil {
 			continue
 		}
-		key := execution{w.Stage, w.Level}
-		switch w.Kind {
-		case cts.EventStageStart.String():
-			sp := &obs.SpanJSON{Name: w.Stage, StartMs: ms(ev.at.Sub(j.created)), Open: true}
-			setCount(sp, "level", w.Level)
-			spans = append(spans, sp)
-			open[key] = openSpan{sp, ev.at}
-		case cts.EventStageEnd.String():
-			if o, ok := open[key]; ok {
-				delete(open, key)
-				o.span.Open, o.span.DurationMs = false, w.ElapsedMs
-				setCount(o.span, "pairs", w.Pairs)
-				setCount(o.span, "reused", w.Reused)
-			}
+		switch {
+		case w.Kind == cts.EventStageStart.String():
+			open = &obs.SpanJSON{Name: w.Stage, StartMs: ms(ev.at.Sub(j.created)), Open: true}
+			openAt = ev.at
+			setCount(open, "level", w.Level)
+			spans = append(spans, open)
+		case w.Kind == cts.EventStageEnd.String() && open != nil && open.Name == w.Stage:
+			open.Open, open.DurationMs = false, w.ElapsedMs
+			setCount(open, "pairs", w.Pairs)
+			setCount(open, "reused", w.Reused)
+			open = nil
 		}
 	}
-	if terminal {
-		for _, o := range open {
-			o.span.Open, o.span.DurationMs = false, ms(finished.Sub(o.at))
-		}
+	if terminal && open != nil {
+		open.Open, open.DurationMs = false, ms(finished.Sub(openAt))
 	}
 	return spans
 }

@@ -30,14 +30,15 @@ package determinism
 //
 // repro/internal/obs is deliberately NOT in scope: it is observability
 // metadata, not result-producing code.  Its metrics are order-free atomics
-// timed by the clock; nothing in internal/obs may ever feed a Result or a
-// cache key.  The flow itself only gained plain counters (Event.Reused) —
-// job traces are rendered in pkg/ctsserver from each job's event log, whose
-// entries it stamps with their arrival instants, outside the contract
-// surface.  pkg/cts imports internal/obs
-// for two things only, both in MetricsObserver and off the Result path: the
-// bucket grid of StageMetrics (obs.LatencyBuckets) and the bucket-quantile
-// estimator behind StageMetrics.Quantile.
+// by design, and the latencies they observe come from the clock; nothing in
+// internal/obs may ever feed a Result or a cache key.  The flow itself only
+// gained plain counters (Event.Reused) — job traces are rendered in
+// pkg/ctsserver from each job's event log, whose entries pkg/ctsserver
+// stamps with their arrival instants, outside the contract surface.
+// pkg/cts imports internal/obs for two things only, both in MetricsObserver
+// and off the Result path: the bucket grid of StageMetrics
+// (obs.LatencyBuckets) and the bucket-quantile estimator behind
+// StageMetrics.Quantile.
 var ScopedPackages = []string{
 	"repro/internal/dme",
 	"repro/internal/geom",

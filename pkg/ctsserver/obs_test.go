@@ -597,9 +597,8 @@ func TestJobTraceStages(t *testing.T) {
 
 // TestJobTraceWhileRunning renders a job's trace over and over while its
 // flow appends to the event log: every live rendering has the job and run
-// spans open and at most its last stage span open, and the terminal one is
-// closed throughout.  Under -race it checks that rendering reads the log
-// safely beside the appends.
+// spans open and at most its last stage span open.  Under -race it checks
+// that rendering reads the log safely beside the appends.
 func TestJobTraceWhileRunning(t *testing.T) {
 	_, cl := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
 	bm, err := bench.SyntheticScaled("r5", 512)
@@ -635,19 +634,4 @@ func TestJobTraceWhileRunning(t *testing.T) {
 	if live == 0 {
 		t.Error("no rendering caught the run with a stage span")
 	}
-	_, tr := fetchTrace(t, cl, st.ID)
-	if tr.State != StateDone {
-		t.Fatalf("job finished %s", tr.State)
-	}
-	root, _, _ := traceRun(t, tr)
-	var assertClosed func(sp *obs.SpanJSON)
-	assertClosed = func(sp *obs.SpanJSON) {
-		if sp.Open {
-			t.Errorf("span %q still open in a terminal trace", sp.Name)
-		}
-		for _, c := range sp.Spans {
-			assertClosed(c)
-		}
-	}
-	assertClosed(root)
 }

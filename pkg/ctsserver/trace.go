@@ -43,41 +43,35 @@ func (j *job) trace() JobTrace {
 		if terminal {
 			run.DurationMs = ms(finished.Sub(started))
 		}
-		run.Spans = j.stageSpans(log, terminal, finished)
 		root.Spans = append(root.Spans, run)
+		// One span per stage execution, in event order.  The flow runs its
+		// stages one after another, so a stage-end closes the last span, and
+		// only the last span can be open.
+		var open *obs.SpanJSON
+		var openAt time.Time
+		for _, ev := range log {
+			var w cts.WireEvent
+			if ev.kind != EventTypeFlow || json.Unmarshal(ev.data, &w) != nil {
+				continue
+			}
+			switch {
+			case w.Kind == cts.EventStageStart.String():
+				open = &obs.SpanJSON{Name: w.Stage, StartMs: ms(ev.at.Sub(j.created)), Open: true}
+				openAt = ev.at
+				setCount(open, "level", w.Level)
+				run.Spans = append(run.Spans, open)
+			case w.Kind == cts.EventStageEnd.String() && open != nil && open.Name == w.Stage:
+				open.Open, open.DurationMs = false, w.ElapsedMs
+				setCount(open, "pairs", w.Pairs)
+				setCount(open, "reused", w.Reused)
+				open = nil
+			}
+		}
+		if terminal && open != nil {
+			open.Open, open.DurationMs = false, ms(finished.Sub(openAt))
+		}
 	}
 	return JobTrace{ID: j.id, Name: j.name, State: state, Spans: []*obs.SpanJSON{root}}
-}
-
-// stageSpans renders one span per stage execution of the log, in event
-// order.  The flow runs its stages one after another, so a stage-end closes
-// the last span, and only the last span can be open.
-func (j *job) stageSpans(log []jobEvent, terminal bool, finished time.Time) []*obs.SpanJSON {
-	var spans []*obs.SpanJSON
-	var open *obs.SpanJSON // the last span, until its stage-end
-	var openAt time.Time
-	for _, ev := range log {
-		var w cts.WireEvent
-		if ev.kind != EventTypeFlow || json.Unmarshal(ev.data, &w) != nil {
-			continue
-		}
-		switch {
-		case w.Kind == cts.EventStageStart.String():
-			open = &obs.SpanJSON{Name: w.Stage, StartMs: ms(ev.at.Sub(j.created)), Open: true}
-			openAt = ev.at
-			setCount(open, "level", w.Level)
-			spans = append(spans, open)
-		case w.Kind == cts.EventStageEnd.String() && open != nil && open.Name == w.Stage:
-			open.Open, open.DurationMs = false, w.ElapsedMs
-			setCount(open, "pairs", w.Pairs)
-			setCount(open, "reused", w.Reused)
-			open = nil
-		}
-	}
-	if terminal && open != nil {
-		open.Open, open.DurationMs = false, ms(finished.Sub(openAt))
-	}
-	return spans
 }
 
 // setCount annotates a span with a positive count.

@@ -341,7 +341,7 @@ func (l *Library) analyticSingle(drive tech.Buffer, loadCap, inputSlew, length f
 		if v < 0 {
 			v = 0
 		}
-		return math.Log(9) * math.Sqrt(v) * tech.PsPerOhmFF
+		return tech.Ln9 * math.Sqrt(v) * tech.PsPerOhmFF
 	}
 	delayOut := d2m(m1Out, m2Out)
 	delayEnd := d2m(m1End, m2End)

@@ -295,7 +295,7 @@ func estimateRegionSlew(t *tech.Technology, driveRes float64, n *clocktree.Node)
 	totalCap := clocktree.DownstreamCap(t, n)
 	longest := longestUnbufferedPath(n)
 	r := t.WireRes(longest)
-	return math.Log(9) * (driveRes*totalCap + r*totalCap/2) * tech.PsPerOhmFF
+	return tech.Ln9 * (driveRes*totalCap + r*totalCap/2) * tech.PsPerOhmFF
 }
 
 func longestUnbufferedPath(n *clocktree.Node) float64 {

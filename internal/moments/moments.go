@@ -169,7 +169,7 @@ func (a *Analysis) SlewStep(node circuit.NodeID) float64 {
 	if variance < 0 {
 		variance = 0
 	}
-	return math.Log(9) * math.Sqrt(variance) * tech.PsPerOhmFF
+	return tech.Ln9 * math.Sqrt(variance) * tech.PsPerOhmFF
 }
 
 // SlewRamp extends SlewStep to a ramp (finite-slew) input using the PERI-style

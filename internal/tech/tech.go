@@ -27,6 +27,13 @@ import (
 // picoseconds (1 ohm * 1 fF = 1e-15 s = 1e-3 ps).
 const PsPerOhmFF = 1e-3
 
+// Ln9 is ln(9) rounded to the nearest float64, the factor between an RC time
+// constant and the 10-90% transition of a single-pole response.  It equals
+// math.Log(9) on amd64, where that has an assembly path, and holds the same
+// bits on every architecture; use it in a product whose other operand is not
+// a constant, so that the compiler never folds it at higher precision.
+const Ln9 float64 = 2.1972245773362196
+
 // Buffer describes one buffer (two cascaded inverters) in the library.
 //
 // The electrical view used by the SPICE substitute (internal/spice) is a
@@ -250,7 +257,7 @@ func (t *Technology) ClosestBufferByCap(cap float64) Buffer {
 // approximation slew ~= ln(9) * (Rd*C + R*C/2).
 func (t *Technology) CriticalWireLength(driveRes, loadCap, slewLimit float64) float64 {
 	// Solve ln9*( (Rd + r*l/2) * (c*l + Cl) ) * PsPerOhmFF = slewLimit for l.
-	ln9 := math.Log(9)
+	ln9 := Ln9
 	a := t.UnitRes * t.UnitCap / 2
 	b := driveRes*t.UnitCap + t.UnitRes*loadCap/2
 	c := driveRes*loadCap - slewLimit/(ln9*PsPerOhmFF)

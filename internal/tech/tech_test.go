@@ -2,6 +2,7 @@ package tech
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -114,5 +115,18 @@ func TestCriticalWireLengthMonotone(t *testing.T) {
 	// must be inserted along routing paths.
 	if lLarge > 4000 {
 		t.Errorf("critical length %v um unexpectedly large for the 10x technology", lLarge)
+	}
+}
+
+// TestLn9MatchesMathLog pins Ln9 to the bits math.Log(9) gives on amd64,
+// so replacing the call with the constant leaves every result unchanged.
+// Other architectures may round math.Log differently; Ln9 is the portable
+// value there.
+func TestLn9MatchesMathLog(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("math.Log(9) is pinned on amd64 only, not %s", runtime.GOARCH)
+	}
+	if got, want := math.Float64bits(Ln9), math.Float64bits(math.Log(9)); got != want {
+		t.Fatalf("Ln9 bits %#x, math.Log(9) bits %#x", got, want)
 	}
 }

@@ -482,3 +482,39 @@ func TestGatewayAffinityMemberForgotBase(t *testing.T) {
 		t.Fatalf("plain fallback key %s, want the plain request's %s", final.Key, want)
 	}
 }
+
+// TestGatewayLivenessIsTheCooldown pins the gateway's one liveness rule.
+// /healthz probes the members on every call, so it answers ok past a dead
+// member at once, and the /metrics scrape that follows reports the dead
+// member down (the scrape's own failed exchange starts its cooldown) and
+// the others up.  With every member dead, the first /healthz answers 503.
+func TestGatewayLivenessIsTheCooldown(t *testing.T) {
+	c := New(t, Options{})
+	dead := c.Members[1]
+	c.Kill(dead)
+	if code, _, data := rawCall(t, http.MethodGet, c.GatewayURL+"/healthz", nil); code != http.StatusOK {
+		t.Fatalf("one member dead: /healthz answered %d: %s", code, data)
+	}
+	m := scrapeGateway(t, c)
+	for _, mem := range c.Members {
+		want := 1.0
+		if mem == dead {
+			want = 0
+		}
+		if v, ok := m.Value("ctsd_gateway_member_up", map[string]string{"member": mem.URL}); !ok || v != want {
+			t.Errorf("ctsd_gateway_member_up for %s = %v (present %v), want %v", mem.URL, v, ok, want)
+		}
+	}
+
+	for _, mem := range c.Alive() {
+		c.Kill(mem)
+	}
+	code, _, data := rawCall(t, http.MethodGet, c.GatewayURL+"/healthz", nil)
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("every member dead: the first /healthz answered %d: %s", code, data)
+	}
+	var h ctsserver.Health
+	if err := json.Unmarshal(data, &h); err != nil || h.Status != "no healthy members" || h.Draining {
+		t.Fatalf("every member dead: /healthz body %s (%v)", data, err)
+	}
+}

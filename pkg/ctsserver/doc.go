@@ -260,7 +260,13 @@
 // the next poll or SSE read and the job is redispatched the same way
 // (terminal statuses are cached at the gateway, so a finished job is never
 // re-run).  Only when every member is down does the client see an error:
-// 503 with code "member-unreachable".  DELETE on a job whose member died
+// 503 with code "member-unreachable".  Liveness is one rule, the members'
+// own: a member that fails an exchange at the transport level or answers
+// 503 (draining) is skipped for 5 s, by dispatch, baseJob affinity and
+// ctsd_gateway_member_up alike, so a draining member refuses one submission
+// and is then passed over.  The gateway runs no probe loop: its GET
+// /healthz probes the members live, answering 200 with the first member
+// that does and 503 once all have failed.  DELETE on a job whose member died
 // answers with a gateway-synthesized "canceled" status.  GET /v1/jobs/
 // {id}/trace does not fail over (the span tree lives on the member that
 // ran the job): it answers 503 "member-unreachable" until the member

@@ -9,7 +9,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,12 +20,6 @@ import (
 // HeaderMember is the response header naming the member base URL that
 // served a request the gateway forwarded.
 const HeaderMember = "X-Ctsd-Member"
-
-// healthInterval is the member health-probe period.  Probes are one GET
-// /healthz each, so even small intervals are cheap; 1s keeps the window in
-// which the gateway dispatches to a dead member (and eats one transport
-// error per submission) short.
-const healthInterval = time.Second
 
 // gatewayTimeout bounds one forwarded non-streaming request.  Members
 // answer submissions asynchronously (202 + job id), so every forwarded call
@@ -62,12 +55,14 @@ type GatewayOptions struct {
 // the member ring and forwarding.  It holds no synthesis state of its own —
 // jobs run on members — but it remembers which member each job went to, so
 // GET/DELETE/events address the right node, and it caches terminal statuses
-// so a finished job survives its member's death.  See doc.go ("Cluster
-// mode") for the wire contract.
+// so a finished job survives its member's death.  Liveness is the cluster's
+// one cooldown rule, fed by the gateway's own exchanges; it runs no
+// goroutine.  See doc.go ("Cluster mode") for the wire contract.
 type Gateway struct {
 	ring   *ring
 	client *http.Client // forwarded requests (bounded by gatewayTimeout)
-	stream *http.Client // SSE proxying (no timeout)
+	stream *http.Client // SSE proxying (no timeout), on client's transport
+	down   cooldown     // members that failed an exchange or answered 503
 	mux    *http.ServeMux
 	log    *slog.Logger
 	start  time.Time
@@ -76,17 +71,12 @@ type Gateway struct {
 	submitted atomic.Int64
 	rerouted  atomic.Int64
 
-	mu     sync.Mutex
-	health map[string]bool   // guarded by mu
-	jobs   map[string]*gwJob // guarded by mu
-	order  []string          // gateway job ids, oldest first // guarded by mu
+	mu    sync.Mutex
+	jobs  map[string]*gwJob // guarded by mu
+	order []string          // gateway job ids, oldest first // guarded by mu
 
 	idPrefix string
 	idCtr    atomic.Uint64
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
 }
 
 // gwJob is the gateway's record of one forwarded job: where it lives, how to
@@ -134,19 +124,13 @@ func (j *gwJob) adopt(member string, st *JobStatus) {
 	}
 }
 
-// NewGateway assembles a Gateway over the member set and starts its health
-// checker.  Close releases the checker.
+// NewGateway assembles a Gateway over the member set.  Close releases its
+// idle member connections.
 func NewGateway(o GatewayOptions) (*Gateway, error) {
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.DiscardHandler)
 	}
-	members := make([]string, 0, len(o.Members))
-	for _, m := range o.Members {
-		if m = strings.TrimRight(strings.TrimSpace(m), "/"); m != "" {
-			members = append(members, m)
-		}
-	}
-	r := newRing(members)
+	r := newRing(cleanURLs(o.Members))
 	if len(r.members) == 0 {
 		return nil, fmt.Errorf("ctsserver: gateway needs at least one member")
 	}
@@ -154,26 +138,16 @@ func NewGateway(o GatewayOptions) (*Gateway, error) {
 	if _, err := rand.Read(prefix[:]); err != nil {
 		return nil, fmt.Errorf("ctsserver: seeding gateway job ids: %w", err)
 	}
+	transport := http.DefaultTransport.(*http.Transport).Clone()
 	g := &Gateway{
 		ring:     r,
-		client:   &http.Client{Timeout: gatewayTimeout},
-		stream:   &http.Client{},
+		client:   &http.Client{Transport: transport, Timeout: gatewayTimeout},
+		stream:   &http.Client{Transport: transport},
 		log:      o.Logger,
 		start:    time.Now(),
-		health:   make(map[string]bool, len(r.members)),
 		jobs:     map[string]*gwJob{},
 		idPrefix: hex.EncodeToString(prefix[:]),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}
-	// Optimistic initial health: the first probe (or the first failed
-	// forward) corrects it, and pessimism would refuse every request between
-	// construction and the first probe.
-	g.mu.Lock()
-	for _, m := range r.members {
-		g.health[m] = true
-	}
-	g.mu.Unlock()
 	g.reg = newGatewayMetrics(g)
 
 	mux := http.NewServeMux()
@@ -186,8 +160,6 @@ func NewGateway(o GatewayOptions) (*Gateway, error) {
 	mux.HandleFunc("GET /metrics", g.handleMetrics)
 	mux.HandleFunc("GET /healthz", g.handleHealth)
 	g.mux = mux
-
-	go g.healthLoop()
 	return g, nil
 }
 
@@ -196,31 +168,16 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.mux.ServeHTTP(w, r)
 }
 
-// Close stops the health checker.  Safe to call more than once.
+// Close releases the gateway's idle member connections.  Safe to call more
+// than once.
 func (g *Gateway) Close() {
-	g.stopOnce.Do(func() { close(g.stop) })
-	<-g.done
+	g.client.CloseIdleConnections()
 }
 
 // MemberFor returns the ring owner of a canonical key (testing and
 // operational introspection; dispatch may still reroute past it).
 func (g *Gateway) MemberFor(key string) string {
 	return g.ring.owner(key)
-}
-
-// healthLoop probes every member each interval until Close.
-func (g *Gateway) healthLoop() {
-	defer close(g.done)
-	t := time.NewTicker(healthInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-g.stop:
-			return
-		case <-t.C:
-			g.probeMembers()
-		}
-	}
 }
 
 // fanOut calls fn for every member concurrently and returns once every call
@@ -235,42 +192,6 @@ func (g *Gateway) fanOut(fn func(i int, member string)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// probeMembers checks every member's /healthz and records the verdicts.  A
-// draining member answers 503 and is treated as down for new dispatch (its
-// running jobs still finish and stay addressable).
-func (g *Gateway) probeMembers() {
-	verdicts := make([]bool, len(g.ring.members))
-	g.fanOut(func(i int, m string) {
-		resp, err := g.client.Get(m + "/healthz")
-		if err != nil {
-			return
-		}
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		resp.Body.Close()
-		verdicts[i] = resp.StatusCode == http.StatusOK
-	})
-	g.mu.Lock()
-	for i, m := range g.ring.members {
-		g.health[m] = verdicts[i]
-	}
-	g.mu.Unlock()
-}
-
-// isHealthy reports the member's last-known health.
-func (g *Gateway) isHealthy(member string) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.health[member]
-}
-
-// markDown records a member observed dead at forward time, so subsequent
-// dispatches skip it until a probe revives it.
-func (g *Gateway) markDown(member string) {
-	g.mu.Lock()
-	g.health[member] = false
-	g.mu.Unlock()
 }
 
 // register remembers a job, forgetting the oldest beyond retention.
@@ -298,21 +219,21 @@ func (g *Gateway) job(w http.ResponseWriter, r *http.Request) (*gwJob, bool) {
 	return j, ok
 }
 
-// call is the gateway's one exchange with a member: it sends the request,
-// reads the answer under maxRequestBytes and decodes a 2xx body into out.
-// It returns the member's HTTP status (0 when no answer arrived) and, on
-// failure, the error to answer with: a transport or read failure marks the
-// member down and is a 503 member-unreachable, a non-2xx answer is the
-// member's own error, and an undecodable 2xx body is a 502
-// member-unreachable.
-func (g *Gateway) call(method, member, path string, header http.Header, body []byte, out any) (int, *APIError) {
+// call is the gateway's one exchange with a member: it sends the request
+// (a body is JSON), reads the answer under maxRequestBytes and decodes a 2xx
+// body into out.  It returns the member's HTTP status (0 when no answer
+// arrived) and, on failure, the error to answer with: a transport or read
+// failure is a 503 member-unreachable, a non-2xx answer is the member's own
+// error, and an undecodable 2xx body is a 502 member-unreachable.  A
+// transport failure or a 503 (a draining member) starts its cooldown.
+func (g *Gateway) call(method, member, path string, body []byte, out any) (int, *APIError) {
 	req, err := http.NewRequest(method, member+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, &APIError{HTTPStatus: http.StatusBadGateway, Code: ErrMemberUnreachable,
 			Message: fmt.Sprintf("member %s: %v", member, err)}
 	}
-	if header != nil {
-		req.Header = header
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := g.client.Do(req)
 	var data []byte
@@ -320,8 +241,10 @@ func (g *Gateway) call(method, member, path string, header http.Header, body []b
 		data, err = io.ReadAll(io.LimitReader(resp.Body, maxRequestBytes))
 		resp.Body.Close()
 	}
+	if err != nil || resp.StatusCode == http.StatusServiceUnavailable {
+		g.down.markDown(member)
+	}
 	if err != nil {
-		g.markDown(member)
 		g.log.Warn("member unreachable", "member", member, "path", path, "error", err)
 		return 0, &APIError{HTTPStatus: http.StatusServiceUnavailable, Code: ErrMemberUnreachable,
 			Message: fmt.Sprintf("member %s unreachable: %v", member, err), RetryAfter: retryAfterSeconds}
@@ -336,12 +259,12 @@ func (g *Gateway) call(method, member, path string, header http.Header, body []b
 	return resp.StatusCode, nil
 }
 
-// candidates lists the key's ring replicas currently believed up, in
+// candidates lists the key's ring replicas outside a failure cooldown, in
 // dispatch order.
 func (g *Gateway) candidates(key string) []string {
 	out := make([]string, 0, len(g.ring.members))
 	for _, m := range g.ring.replicas(key) {
-		if g.isHealthy(m) {
+		if g.down.up(m) {
 			out = append(out, m)
 		}
 	}
@@ -362,8 +285,7 @@ func refused(code int) bool {
 // not be reached) and the error come back for the caller to judge.
 func (g *Gateway) forwardSubmit(j *gwJob, body []byte, member string) (*JobStatus, int, *APIError) {
 	var st JobStatus
-	code, err := g.call(http.MethodPost, member, "/v1/jobs",
-		http.Header{"Content-Type": {"application/json"}}, body, &st)
+	code, err := g.call(http.MethodPost, member, "/v1/jobs", body, &st)
 	if err != nil {
 		return nil, code, err
 	}
@@ -447,7 +369,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				Message: fmt.Sprintf("unknown base job %q", req.BaseJob)})
 			return
 		}
-		if member, memberID := base.placement(); member != "" && g.isHealthy(member) {
+		if member, memberID := base.placement(); member != "" && g.down.up(member) {
 			affinity, baseMemberID = member, memberID
 		}
 		// The base id means something only on the base's member, so every
@@ -501,7 +423,7 @@ func (g *Gateway) memberStatus(j *gwJob) (*JobStatus, *APIError) {
 				Message: fmt.Sprintf("job %s is not reachable on any member", j.id), RetryAfter: retryAfterSeconds}
 		}
 		var st JobStatus
-		code, err := g.call(http.MethodGet, member, "/v1/jobs/"+memberID, nil, nil, &st)
+		code, err := g.call(http.MethodGet, member, "/v1/jobs/"+memberID, nil, &st)
 		switch {
 		case err == nil:
 			j.adopt("", &st)
@@ -546,7 +468,7 @@ func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	member, memberID := j.placement()
 	var st JobStatus
-	if _, err := g.call(http.MethodDelete, member, "/v1/jobs/"+memberID, nil, nil, &st); err == nil {
+	if _, err := g.call(http.MethodDelete, member, "/v1/jobs/"+memberID, nil, &st); err == nil {
 		j.adopt("", &st)
 		w.Header().Set(HeaderMember, member)
 		writeJSON(w, http.StatusOK, &st)
@@ -570,7 +492,7 @@ func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	member, memberID := j.placement()
 	var tr JobTrace
-	code, err := g.call(http.MethodGet, member, "/v1/jobs/"+memberID+"/trace", nil, nil, &tr)
+	code, err := g.call(http.MethodGet, member, "/v1/jobs/"+memberID+"/trace", nil, &tr)
 	switch {
 	case err == nil:
 		tr.ID = j.id
@@ -630,7 +552,10 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		resp, err := g.stream.Do(req)
 		if err != nil {
-			g.markDown(member)
+			if r.Context().Err() != nil {
+				return // the client left; the member did not fail
+			}
+			g.down.markDown(member)
 			if !g.redispatch(j) {
 				return
 			}
@@ -658,7 +583,7 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		if resp.StatusCode == http.StatusOK {
 			// The stream broke before its done event: the member died mid-job.
-			g.markDown(member)
+			g.down.markDown(member)
 			g.log.Warn("member event stream broke", "member", member, "job", j.id, "error", err)
 		}
 		if !g.redispatch(j) {
@@ -667,29 +592,32 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleHealth implements GET /healthz on the gateway: ok while at least one
-// member is routable.
+// handleHealth implements GET /healthz on the gateway: it probes every
+// member's /healthz live and answers ok as soon as one member does, so a
+// slow member cannot delay it, or 503 once every member has failed (dead,
+// draining or unreachable).
 func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
-	g.mu.Lock()
-	healthy := 0
-	for _, up := range g.health {
-		if up {
-			healthy++
+	ok := make(chan bool, len(g.ring.members)) // a slot per probe, so late ones never block
+	for _, m := range g.ring.members {
+		go func() {
+			_, err := g.call(http.MethodGet, m, "/healthz", nil, &Health{})
+			ok <- err == nil
+		}()
+	}
+	for range g.ring.members {
+		if <-ok {
+			writeJSON(w, http.StatusOK, Health{Status: "ok"})
+			return
 		}
 	}
-	g.mu.Unlock()
-	if healthy == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, Health{Status: "no healthy members", Draining: false})
-		return
-	}
-	writeJSON(w, http.StatusOK, Health{Status: "ok"})
+	writeJSON(w, http.StatusServiceUnavailable, Health{Status: "no healthy members", Draining: false})
 }
 
 // memberMetrics scrapes and strictly parses one member's /metrics.
 func (g *Gateway) memberMetrics(member string) (*obs.ParsedMetrics, error) {
 	resp, err := g.client.Get(member + "/metrics")
 	if err != nil {
-		g.markDown(member)
+		g.down.markDown(member)
 		return nil, err
 	}
 	defer resp.Body.Close()
@@ -708,11 +636,10 @@ func (g *Gateway) memberMetrics(member string) (*obs.ParsedMetrics, error) {
 // answered both, so the merge covers exactly the members listed healthy.
 func (g *Gateway) scrape(members []MemberStatus) (*obs.ParsedMetrics, error) {
 	parts := make([]*obs.ParsedMetrics, len(g.ring.members)+1)
-	parts[0] = g.reg.Gather()
 	g.fanOut(func(i int, m string) {
 		if members != nil {
 			var st Stats
-			if _, err := g.call(http.MethodGet, m, "/v1/stats", nil, nil, &st); err != nil {
+			if _, err := g.call(http.MethodGet, m, "/v1/stats", nil, &st); err != nil {
 				members[i] = MemberStatus{URL: m, Error: err.Message}
 				return
 			}
@@ -726,13 +653,14 @@ func (g *Gateway) scrape(members []MemberStatus) (*obs.ParsedMetrics, error) {
 			members[i] = MemberStatus{URL: m, Error: err.Error()}
 		}
 	})
+	parts[0] = g.reg.Gather() // last, so member_up counts this scrape's failures
 	return obs.MergeParsed(parts...)
 }
 
 // handleStats implements GET /v1/stats on the gateway.  Members are polled
-// live, so a member that died a millisecond ago reports unhealthy here even
-// if the last probe liked it; the gateway's own numbers and the merged view
-// are read off the same merge GET /metrics serves.
+// live, so a member that died a millisecond ago reports unhealthy here; the
+// gateway's own numbers and the merged view are read off the same merge GET
+// /metrics serves.
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	members := make([]MemberStatus, len(g.ring.members))
 	m, err := g.scrape(members)

@@ -123,7 +123,9 @@ func (j *job) setRunning() bool {
 // from restricts the transition to jobs currently in that state — the
 // queued-cancel path uses it so a job the worker just started cannot be
 // declared "canceled before start" while its run keeps emitting events.
-func (j *job) finish(from, state JobState, cacheHit bool, result json.RawMessage, errMsg string) bool {
+// count runs on the winning transition only, with j.mu held, before the
+// terminal status and the done event become visible.
+func (j *job) finish(from, state JobState, cacheHit bool, result json.RawMessage, errMsg string, count func()) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() || (from != "" && j.state != from) {
@@ -138,6 +140,7 @@ func (j *job) finish(from, state JobState, cacheHit bool, result json.RawMessage
 	j.result = result
 	j.errMsg = errMsg
 	j.finished = time.Now()
+	count()
 	data, err := json.Marshal(j.statusLocked())
 	if err == nil {
 		j.log = append(j.log, jobEvent{seq: len(j.log), kind: EventTypeDone, data: data, at: j.finished})
@@ -185,8 +188,7 @@ func (j *job) retainedSize() int64 {
 	return size
 }
 
-// times snapshots the job's lifecycle timestamps (for latency metrics at the
-// terminal transition).
+// times snapshots the job's lifecycle timestamps.
 func (j *job) times() (created, started, finished time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -173,15 +173,15 @@ func oneIf(ok bool) float64 {
 	return 0
 }
 
-// observeTerminal records a job's latencies at its terminal transition.
-func (m *serverMetrics) observeTerminal(j *job) {
-	created, started, finished := j.times()
+// observeTerminalLocked records a job's latencies at its terminal
+// transition.  Callers must hold j.mu (job.finish runs it).
+func (m *serverMetrics) observeTerminalLocked(j *job) {
 	p := string(j.priority)
-	if !started.IsZero() {
-		m.queueWait.With(p).ObserveDuration(started.Sub(created))
-		m.runDur.With(p).ObserveDuration(finished.Sub(started))
+	if !j.started.IsZero() {
+		m.queueWait.With(p).ObserveDuration(j.started.Sub(j.created))
+		m.runDur.With(p).ObserveDuration(j.finished.Sub(j.started))
 	}
-	m.e2e.With(p).ObserveDuration(finished.Sub(created))
+	m.e2e.With(p).ObserveDuration(j.finished.Sub(j.created))
 }
 
 // newGatewayMetrics builds the gateway's own metric surface, which its
@@ -190,9 +190,10 @@ func newGatewayMetrics(g *Gateway) *obs.Registry {
 	r := obs.NewRegistry()
 	r.NewGauge("ctsd_gateway_uptime_seconds", "Seconds since the gateway started.").
 		Func(func() float64 { return time.Since(g.start).Seconds() })
-	up := r.NewGauge("ctsd_gateway_member_up", "Per-member health (1 up, 0 down).", "member")
+	up := r.NewGauge("ctsd_gateway_member_up", "Per-member liveness: 0 if an exchange with the member failed or it "+
+		"answered 503 (draining) within the last "+downCooldown.String()+", else 1.", "member")
 	for _, member := range g.ring.members {
-		up.Func(func() float64 { return oneIf(g.isHealthy(member)) }, member)
+		up.Func(func() float64 { return oneIf(g.down.up(member)) }, member)
 	}
 	r.NewCounter("ctsd_gateway_jobs_submitted_total", "Jobs accepted at the gateway.").
 		Func(func() float64 { return float64(g.submitted.Load()) })

@@ -9,12 +9,36 @@ import (
 	"time"
 )
 
-// peerDownCooldown is how long a peer that failed at the transport level is
-// skipped before lookups try it again.  Peer reads are a latency
-// optimization in front of synthesis, so a dead sibling must not tax every
-// local cache miss with a connect timeout; a few seconds of cooldown bounds
-// that tax while still noticing recovery quickly.
-const peerDownCooldown = 5 * time.Second
+// downCooldown is how long a URL that failed is skipped before it is tried
+// again: long enough that a dead sibling or member does not tax every peer
+// read or dispatch with a failed connect, short enough to notice recovery.
+const downCooldown = 5 * time.Second
+
+// cooldown is the cluster's one liveness rule: a URL is up unless it failed
+// within the last downCooldown.  Members keep one over their siblings (peer
+// reads), the gateway one over its members (dispatch, baseJob affinity,
+// ctsd_gateway_member_up).  The zero value is ready; safe for concurrent use.
+type cooldown struct {
+	mu        sync.Mutex
+	downUntil map[string]time.Time // guarded by mu
+}
+
+// up reports whether u is outside a failure cooldown.
+func (c *cooldown) up(u string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return time.Now().After(c.downUntil[u])
+}
+
+// markDown starts (or restarts) u's failure cooldown.
+func (c *cooldown) markDown(u string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.downUntil == nil {
+		c.downUntil = map[string]time.Time{}
+	}
+	c.downUntil[u] = time.Now().Add(downCooldown)
+}
 
 // peerTimeout bounds one peer cache read.  Cached values are served from
 // memory or one disk read on the peer, so anything slower than this is
@@ -33,30 +57,34 @@ const peerBodyLimit = maxRequestBytes
 // it on a running server — and safe for concurrent use.
 type peerSet struct {
 	client *http.Client
+	down   cooldown // siblings that failed at the transport level
 
-	mu        sync.Mutex
-	urls      []string             // guarded by mu
-	downUntil map[string]time.Time // guarded by mu
+	mu   sync.Mutex
+	urls []string // guarded by mu
 }
 
 // newPeerSet builds a peer set over sibling base URLs.
 func newPeerSet(urls []string) *peerSet {
-	p := &peerSet{
-		client:    &http.Client{Timeout: peerTimeout},
-		downUntil: map[string]time.Time{},
-	}
+	p := &peerSet{client: &http.Client{Timeout: peerTimeout}}
 	p.set(urls)
 	return p
 }
 
-// set replaces the peer list.
-func (p *peerSet) set(urls []string) {
+// cleanURLs trims blanks and trailing slashes off base URLs and drops the
+// empty ones, so a member is named the same by every list it appears in.
+func cleanURLs(urls []string) []string {
 	clean := make([]string, 0, len(urls))
 	for _, u := range urls {
 		if u = strings.TrimRight(strings.TrimSpace(u), "/"); u != "" {
 			clean = append(clean, u)
 		}
 	}
+	return clean
+}
+
+// set replaces the peer list.
+func (p *peerSet) set(urls []string) {
+	clean := cleanURLs(urls)
 	p.mu.Lock()
 	p.urls = clean
 	p.mu.Unlock()
@@ -64,23 +92,15 @@ func (p *peerSet) set(urls []string) {
 
 // list snapshots the peers that are not in a failure cooldown.
 func (p *peerSet) list() []string {
-	now := time.Now()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make([]string, 0, len(p.urls))
 	for _, u := range p.urls {
-		if now.After(p.downUntil[u]) {
+		if p.down.up(u) {
 			out = append(out, u)
 		}
 	}
 	return out
-}
-
-// markDown starts a failure cooldown for one peer.
-func (p *peerSet) markDown(u string) {
-	p.mu.Lock()
-	p.downUntil[u] = time.Now().Add(peerDownCooldown)
-	p.mu.Unlock()
 }
 
 // fetch asks each available peer for the path in list order and returns the
@@ -91,7 +111,7 @@ func (p *peerSet) fetch(path string, valid func([]byte) bool) ([]byte, bool) {
 	for _, u := range p.list() {
 		resp, err := p.client.Get(u + path)
 		if err != nil {
-			p.markDown(u)
+			p.down.markDown(u)
 			continue
 		}
 		if resp.StatusCode != http.StatusOK {
@@ -102,7 +122,7 @@ func (p *peerSet) fetch(path string, valid func([]byte) bool) ([]byte, bool) {
 		data, err := io.ReadAll(io.LimitReader(resp.Body, peerBodyLimit))
 		resp.Body.Close()
 		if err != nil {
-			p.markDown(u)
+			p.down.markDown(u)
 			continue
 		}
 		if valid(data) {

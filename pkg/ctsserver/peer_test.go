@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/tech"
 	"repro/pkg/cts"
@@ -165,5 +166,35 @@ func TestPeerHitCountsOnce(t *testing.T) {
 			t.Errorf("%s: memory/disk/peer/misses = %d/%d/%d/%d, want %d/%d/%d/%d", m.cl.BaseURL,
 				c.MemoryHits, c.DiskHits, c.PeerHits, c.Misses, m.memory, m.disk, m.peer, m.misses)
 		}
+	}
+}
+
+// TestCooldown pins the cluster's one liveness rule: a URL is up until it is
+// marked down, down until its deadline passes, and up again after; a peer
+// set lists only the siblings that are up.
+func TestCooldown(t *testing.T) {
+	var c cooldown
+	const u = "http://member-a"
+	if !c.up(u) {
+		t.Fatal("a URL that never failed is down")
+	}
+	c.markDown(u)
+	if c.up(u) {
+		t.Fatal("a URL just marked down is up")
+	}
+	c.mu.Lock()
+	c.downUntil[u] = time.Now().Add(-time.Nanosecond)
+	c.mu.Unlock()
+	if !c.up(u) {
+		t.Fatal("a URL whose cooldown has passed is still down")
+	}
+
+	p := newPeerSet([]string{" http://peer-a/ ", "http://peer-b", ""})
+	if got, want := p.list(), []string{"http://peer-a", "http://peer-b"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("peer list %v, want %v", got, want)
+	}
+	p.down.markDown("http://peer-a")
+	if got, want := p.list(), []string{"http://peer-b"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("peer list with peer-a cooling down: %v, want %v", got, want)
 	}
 }

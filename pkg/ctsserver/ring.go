@@ -29,8 +29,8 @@ const virtualNodes = 200
 //     once, is fetched from a sibling's cache (or re-synthesized) and is
 //     local from then on.
 //
-// The ring itself is immutable; membership health is tracked outside it (the
-// gateway filters unhealthy members when walking a key's replica order).
+// The ring itself is immutable; liveness is tracked outside it (the gateway
+// skips members in a failure cooldown when walking a key's replica order).
 type ring struct {
 	members []string // sorted unique member identities (base URLs)
 	points  []ringPoint

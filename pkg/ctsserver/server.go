@@ -283,23 +283,20 @@ func (s *Server) lookup(id string) (*job, bool) {
 	return j, ok
 }
 
-// finishJob drives a job to a terminal state exactly once, updating the
-// scheduler counters, the latency histograms and the retention list.  A
+// finishJob is the one path of every terminal transition.  It drives a job
+// to a terminal state exactly once and reports whether this call won; a
 // non-empty from restricts the transition to jobs currently in that state
-// (see job.finish).
-func (s *Server) finishJob(j *job, from, state JobState, cacheHit bool, result json.RawMessage, errMsg string) {
-	if !j.finish(from, state, cacheHit, result, errMsg) {
-		return
+// (see job.finish).  The winning transition counts the job in the scheduler
+// counters and the latency histograms before its status is visible, so a
+// client that sees the job terminal finds it counted; the structured log
+// line and retention follow.
+func (s *Server) finishJob(j *job, from, state JobState, cacheHit bool, result json.RawMessage, errMsg string) bool {
+	if !j.finish(from, state, cacheHit, result, errMsg, func() {
+		s.sched.note(state, cacheHit)
+		s.obsm.observeTerminalLocked(j)
+	}) {
+		return false
 	}
-	s.noteTerminal(j, state, cacheHit, errMsg)
-}
-
-// noteTerminal is the single post-transition path of every terminal job:
-// scheduler counters, latency observations, the structured log line and
-// retention.  The caller has already won the finish transition.
-func (s *Server) noteTerminal(j *job, state JobState, cacheHit bool, errMsg string) {
-	s.sched.note(state, cacheHit)
-	s.obsm.observeTerminal(j)
 	created, started, finished := j.times()
 	attrs := []any{
 		"job", j.id, "state", string(state), "priority", string(j.priority),
@@ -323,6 +320,7 @@ func (s *Server) noteTerminal(j *job, state JobState, cacheHit bool, errMsg stri
 		s.log.Warn("job finished", attrs...)
 	}
 	s.retire(j)
+	return true
 }
 
 // expireQueued drives a job whose deadline passed while it waited in the
@@ -331,12 +329,8 @@ func (s *Server) noteTerminal(j *job, state JobState, cacheHit bool, errMsg stri
 // (a racing DELETE may have canceled the job first, in which case the
 // cancel path already released the queue slot).
 func (s *Server) expireQueued(j *job) bool {
-	msg := fmt.Sprintf("deadline %s passed before the job started", rfc3339(j.deadline))
-	if !j.finish(StateQueued, StateExpired, false, nil, msg) {
-		return false
-	}
-	s.noteTerminal(j, StateExpired, false, msg)
-	return true
+	return s.finishJob(j, StateQueued, StateExpired, false, nil,
+		fmt.Sprintf("deadline %s passed before the job started", rfc3339(j.deadline)))
 }
 
 // cancelJob cancels a job in any non-terminal state: a still-queued job
@@ -346,9 +340,8 @@ func (s *Server) expireQueued(j *job) bool {
 // is canceled through its context, reaching the canceled state when the run
 // unwinds.
 func (s *Server) cancelJob(j *job) {
-	if j.finish(StateQueued, StateCanceled, false, nil, "canceled before start") {
+	if s.finishJob(j, StateQueued, StateCanceled, false, nil, "canceled before start") {
 		s.sched.releaseQueued(j)
-		s.noteTerminal(j, StateCanceled, false, "canceled before start")
 	}
 	if j.cancel != nil {
 		j.cancel()

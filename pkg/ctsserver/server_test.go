@@ -3,6 +3,7 @@ package ctsserver
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -521,6 +522,48 @@ func TestDrain(t *testing.T) {
 	}
 	if st := waitTerminal(t, cl, b.ID); st.State != StateDone {
 		t.Errorf("queued job after drain: %s", st.State)
+	}
+}
+
+// TestDrainTimeoutCancels pins the drain's deadline path (ctsd
+// -drain-timeout): when the context expires first, Drain cancels the
+// running and the queued job, returns the context error once they unwind,
+// and the server stays draining.
+func TestDrainTimeoutCancels(t *testing.T) {
+	hook, started := blockingHook(make(chan struct{})) // never released
+	srv, cl := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
+	srv.runHook = hook
+	ctx := context.Background()
+
+	started.Add(1)
+	a, err := cl.Submit(ctx, scaledRequest(t, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	started.Wait()
+	b, err := cl.Submit(ctx, scaledRequest(t, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancel()
+	if err := srv.Drain(dctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("drain past its deadline returned %v, want context.DeadlineExceeded", err)
+	}
+	if st := waitTerminal(t, cl, a.ID); st.State != StateCanceled {
+		t.Errorf("running job after the drain timeout: %s (%s)", st.State, st.Error)
+	}
+	if st := waitTerminal(t, cl, b.ID); st.State != StateCanceled || st.Error != "canceled before start" {
+		t.Errorf("queued job after the drain timeout: %s (%q)", st.State, st.Error)
+	}
+	stats, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Scheduler.Canceled != 2 || !stats.Scheduler.Draining {
+		t.Errorf("stats after the drain timeout: canceled %d, draining %v; want 2, true",
+			stats.Scheduler.Canceled, stats.Scheduler.Draining)
 	}
 }
 

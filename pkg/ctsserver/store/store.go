@@ -233,11 +233,11 @@ func readKey(path string) (string, error) {
 		return "", err
 	}
 	defer f.Close()
-	zr, err := gzip.NewReader(f)
-	if err != nil {
+	zr := readers.Get().(*gzip.Reader)
+	defer readers.Put(zr)
+	if err := zr.Reset(f); err != nil {
 		return "", err
 	}
-	defer zr.Close()
 	if zr.Name == "" {
 		return "", fmt.Errorf("store: %s carries no key", path)
 	}
@@ -326,8 +326,9 @@ func readEntry(path, key string, size int64) ([]byte, error) {
 	// A byte reader keeps the gzip reader from reading past the member, so
 	// whatever follows its trailer is still there to find.
 	br := bufio.NewReader(f)
-	zr, err := gzip.NewReader(br)
-	if err != nil {
+	zr := readers.Get().(*gzip.Reader)
+	defer readers.Put(zr)
+	if err := zr.Reset(br); err != nil {
 		return nil, err
 	}
 	if zr.Name != key {
@@ -345,6 +346,11 @@ func readEntry(path, key string, size int64) ([]byte, error) {
 	}
 	return buf.Bytes(), nil
 }
+
+// readers pools the entry decoders: every gzip reader allocates a flate
+// decompressor with a 32 KiB window, which Open would otherwise pay for
+// every entry header it reads and Get for every value.
+var readers = sync.Pool{New: func() any { return new(gzip.Reader) }}
 
 // writers pools the entry encoders: every gzip writer allocates a flate
 // compressor of at least 640 KiB whatever its level, which a Put would

@@ -252,7 +252,8 @@ const (
 	// ErrMemberUnreachable: the gateway exhausted every ring replica for the
 	// key without finding a member that would take (or still had) the job.
 	// The 503 response carries a Retry-After header — by the next attempt the
-	// health checker has usually found a live member.
+	// gateway skips the members that just failed (each sits out a 5 s
+	// cooldown) and has usually found a live one.
 	ErrMemberUnreachable = "member-unreachable"
 )
 
@@ -458,7 +459,7 @@ type JobTrace struct {
 
 // Health is the body of GET /healthz.
 type Health struct {
-	Status string `json:"status"` // "ok" or "draining"
+	Status string `json:"status"` // "ok", "draining" or, on a gateway, "no healthy members"
 	// Draining mirrors Status for programmatic checks.
 	Draining bool `json:"draining"`
 }
@@ -466,10 +467,11 @@ type Health struct {
 // GatewayStats summarizes the gateway's own routing work for the cluster
 // view of GET /v1/stats.
 type GatewayStats struct {
-	// Members is the configured member count; Healthy of them currently pass
-	// health checks (a degraded cluster reports Healthy < Members).
+	// Members is the configured member count; Healthy of them answered this
+	// request's polls (a degraded cluster reports Healthy < Members).
 	Members int `json:"members"`
-	// Healthy is the number of members currently passing health checks.
+	// Healthy is the number of members that answered this request's
+	// /v1/stats and /metrics polls.
 	Healthy int `json:"healthy"`
 	// Submitted counts jobs accepted at the gateway.
 	Submitted int64 `json:"submitted"`

@@ -1,6 +1,7 @@
 package cts_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"testing"
@@ -114,5 +115,60 @@ func TestSubtreeKeyLeafVsMerge(t *testing.T) {
 	}
 	if cts.SubtreeKey(s, sinks, "") == leaf {
 		t.Error("empty child key aliases the no-children leaf key")
+	}
+}
+
+// TestCacheKeysPinned pins the exact bytes both cache keys hash.  The other
+// key tests check only self-consistency, so an encoding slip (a reordered
+// settings field, a renamed enum token, a changed length prefix) would pass
+// them while silently cold-starting every persisted cache and splitting a
+// cluster that runs two builds.  Every enum token feeds both keys, so the
+// second row is the oracle for the non-default tokens.
+func TestCacheKeysPinned(t *testing.T) {
+	sinks := []cts.Sink{
+		{Name: "a", Pos: geom.Pt(10, 20), Cap: 15},
+		{Name: "b\x00", Pos: geom.Pt(-3.5, 1e9), Cap: 0},
+	}
+	for _, tc := range []struct {
+		name                   string
+		in                     cts.Settings
+		json                   string
+		canonical, merge, leaf string
+	}{
+		{
+			name:      "defaults",
+			json:      `{"slewLimit":100,"slewTarget":80,"alpha":1,"beta":20,"gridSize":45,"correction":"none","topology":"greedy","routing":"flat"}`,
+			canonical: "8cd67522dae34a60a0dfc877714fdc2baaab788415a569cb9545d24505aa6ea8",
+			merge:     "ab826be529305fb6836af9cd7b323f28d1c44ed00bb173cc2f96c561509fd3d7",
+			leaf:      "2340c3f5e0194747fd8bc040b8dae0b65d16fb7299c0a1b22f017a10308a79e1",
+		},
+		{
+			name: "full-bipartition-hierarchical",
+			in: cts.Settings{Correction: cts.CorrectionFull, Topology: cts.TopologyBipartition,
+				Routing: cts.RoutingHierarchical},
+			json:      `{"slewLimit":100,"slewTarget":80,"alpha":1,"beta":20,"gridSize":45,"correction":"full","topology":"bipartition","routing":"hierarchical"}`,
+			canonical: "d0214a2e2c076afd8ae218fd7d98c792c28604aae39bb136d5e7f86c250ad9d5",
+			merge:     "8f203c796d5cb4b6bd7cf80ad1d36e171ce19cb9acba77d810d811cb69073894",
+			leaf:      "dec693a9eb39053597899ee91d4cc2bdbce1f5c9fc930f28de2089690f06fbee",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := tc.in.Effective()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b, err := json.Marshal(s); err != nil || string(b) != tc.json {
+				t.Errorf("settings JSON = %s (%v), want %s", b, err, tc.json)
+			}
+			if got := cts.CanonicalKey(s, sinks); got != tc.canonical {
+				t.Errorf("CanonicalKey = %s, want %s", got, tc.canonical)
+			}
+			if got := cts.SubtreeKey(s, sinks, "k1", "k2"); got != tc.merge {
+				t.Errorf("merge SubtreeKey = %s, want %s", got, tc.merge)
+			}
+			if got := cts.SubtreeKey(s, sinks[:1]); got != tc.leaf {
+				t.Errorf("leaf SubtreeKey = %s, want %s", got, tc.leaf)
+			}
+		})
 	}
 }

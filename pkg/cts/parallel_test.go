@@ -33,6 +33,10 @@ func deck(t *testing.T, res *cts.Result, name string) string {
 // fan-out level scheduler must produce a tree identical to the sequential
 // path — same netlist, timing, wirelength and flip count — on the scaled
 // r1-r3 benchmarks.  Run with -race to exercise the concurrent merge path.
+// The cached rows take the path every ctsd job takes: a flow with a subtree
+// cache (one per width) runs the design, writing every merge through, and
+// then a 1% move delta through RunIncremental, whose reuse counts must match
+// too.
 func TestParallelMatchesSequential(t *testing.T) {
 	tt := tech.Default()
 	lib := charlib.NewAnalytic(tt)
@@ -40,26 +44,42 @@ func TestParallelMatchesSequential(t *testing.T) {
 		name       string
 		maxSinks   int
 		correction cts.Correction
+		cached     bool
 	}{
-		{"r1", 48, cts.CorrectionNone},
-		{"r2", 48, cts.CorrectionNone},
-		{"r3", 48, cts.CorrectionNone},
+		{"r1", 48, cts.CorrectionNone, false},
+		{"r2", 48, cts.CorrectionNone, false},
+		{"r3", 48, cts.CorrectionNone, false},
 		// Correction exercises the trial-merge path, whose flip counts must
 		// aggregate identically under the fan-out.
-		{"r1", 32, cts.CorrectionFull},
+		{"r1", 32, cts.CorrectionFull, false},
+		{"r2", 48, cts.CorrectionNone, true},
+		{"r1", 32, cts.CorrectionFull, true},
 	} {
 		tc := tc
-		t.Run(fmt.Sprintf("%s_%d_%s", tc.name, tc.maxSinks, tc.correction.String()), func(t *testing.T) {
+		label := fmt.Sprintf("%s_%d_%s", tc.name, tc.maxSinks, tc.correction.String())
+		if tc.cached {
+			label += "_cached"
+		}
+		t.Run(label, func(t *testing.T) {
 			bm, err := bench.SyntheticScaled(tc.name, tc.maxSinks)
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := func(parallelism int) *cts.Result {
-				flow, err := cts.New(tt,
+			pert, err := bench.Perturb(bm, "move", 0.01, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// run returns the plain result and, on a cached row, the delta's.
+			run := func(parallelism int) []*cts.Result {
+				opts := []cts.Option{
 					cts.WithLibrary(lib),
 					cts.WithCorrection(tc.correction),
 					cts.WithParallelism(parallelism),
-				)
+				}
+				if tc.cached {
+					opts = append(opts, cts.WithSubtreeCache(cts.NewMemorySubtreeCache(0)))
+				}
+				flow, err := cts.New(tt, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -67,32 +87,47 @@ func TestParallelMatchesSequential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return res
+				if !tc.cached {
+					return []*cts.Result{res}
+				}
+				inc, err := flow.RunIncremental(context.Background(), res, pert.Sinks)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return []*cts.Result{res, inc}
 			}
-			seq := run(1)
-			par := run(8)
-
-			if got, want := deck(t, par, tc.name), deck(t, seq, tc.name); got != want {
-				t.Errorf("netlists differ between parallel and sequential runs (%d vs %d lines)",
-					strings.Count(got, "\n"), strings.Count(want, "\n"))
+			seqs, pars := run(1), run(8)
+			for i, seq := range seqs {
+				par := pars[i]
+				if got, want := deck(t, par, tc.name), deck(t, seq, tc.name); got != want {
+					t.Errorf("run %d: netlists differ between parallel and sequential runs (%d vs %d lines)",
+						i, strings.Count(got, "\n"), strings.Count(want, "\n"))
+				}
+				if par.Flippings != seq.Flippings {
+					t.Errorf("run %d: flippings = %d, want %d", i, par.Flippings, seq.Flippings)
+				}
+				if par.Levels != seq.Levels {
+					t.Errorf("run %d: levels = %d, want %d", i, par.Levels, seq.Levels)
+				}
+				if !reflect.DeepEqual(par.Stats, seq.Stats) {
+					t.Errorf("run %d: stats differ:\nparallel:   %+v\nsequential: %+v", i, par.Stats, seq.Stats)
+				}
+				if par.Timing.Skew != seq.Timing.Skew ||
+					par.Timing.WorstSlew != seq.Timing.WorstSlew ||
+					par.Timing.MaxLatency != seq.Timing.MaxLatency ||
+					par.Timing.MinLatency != seq.Timing.MinLatency {
+					t.Errorf("run %d: timing differs: parallel %+v, sequential %+v", i, par.Timing, seq.Timing)
+				}
+				if par.Stats.TotalWire != seq.Stats.TotalWire {
+					t.Errorf("run %d: wirelength = %v, want %v", i, par.Stats.TotalWire, seq.Stats.TotalWire)
+				}
+				if !reflect.DeepEqual(par.Incremental, seq.Incremental) {
+					t.Errorf("run %d: incremental stats differ: parallel %+v, sequential %+v",
+						i, par.Incremental, seq.Incremental)
+				}
 			}
-			if par.Flippings != seq.Flippings {
-				t.Errorf("flippings = %d, want %d", par.Flippings, seq.Flippings)
-			}
-			if par.Levels != seq.Levels {
-				t.Errorf("levels = %d, want %d", par.Levels, seq.Levels)
-			}
-			if !reflect.DeepEqual(par.Stats, seq.Stats) {
-				t.Errorf("stats differ:\nparallel:   %+v\nsequential: %+v", par.Stats, seq.Stats)
-			}
-			if par.Timing.Skew != seq.Timing.Skew ||
-				par.Timing.WorstSlew != seq.Timing.WorstSlew ||
-				par.Timing.MaxLatency != seq.Timing.MaxLatency ||
-				par.Timing.MinLatency != seq.Timing.MinLatency {
-				t.Errorf("timing differs: parallel %+v, sequential %+v", par.Timing, seq.Timing)
-			}
-			if par.Stats.TotalWire != seq.Stats.TotalWire {
-				t.Errorf("wirelength = %v, want %v", par.Stats.TotalWire, seq.Stats.TotalWire)
+			if tc.cached && pars[1].Incremental.ReusedSubtrees == 0 {
+				t.Errorf("delta reused no sub-tree: %+v", pars[1].Incremental)
 			}
 		})
 	}

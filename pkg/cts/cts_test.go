@@ -92,6 +92,11 @@ func TestNewValidation(t *testing.T) {
 	if _, err := cts.New(tt, cts.WithTopologyBuilder(&adjacentTopology{}), cts.WithTopologyStrategy(9)); err == nil {
 		t.Error("expected error for an unknown topology strategy beside a custom builder")
 	}
+	// An unknown correction mode has no wire token, so it would reach the
+	// Result JSON and CanonicalKey as an unparsable one.
+	if _, err := cts.New(tt, cts.WithCorrection(7)); err == nil {
+		t.Error("expected error for an unknown correction mode")
+	}
 }
 
 // TestSettingsEffective pins Effective to New: the same effective settings
@@ -113,6 +118,7 @@ func TestSettingsEffective(t *testing.T) {
 		{Topology: cts.TopologyBipartition},
 		{Topology: 9},
 		{SlewTarget: 200, Routing: 7, Topology: 9},
+		{Correction: 7},
 	} {
 		eff, effErr := s.Effective()
 		flow, newErr := cts.New(tech.Default(),

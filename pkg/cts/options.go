@@ -275,9 +275,10 @@ func New(t *tech.Technology, opts ...Option) (*Flow, error) {
 // Effective returns the settings with New's defaults applied: a 100 ps slew
 // limit, a target at 80% of the limit, alpha/beta = 1/20 when both are
 // zero and a grid resolution of 45.  It rejects a slew target above the
-// limit and unknown routing or topology strategies.  The result is what a
-// Flow runs with, what Result echoes and what CanonicalKey hashes, so any
-// layer that keys or routes a request without building a Flow calls it.
+// limit, unknown routing or topology strategies and an unknown correction
+// mode.  The result is what a Flow runs with, what Result echoes and what
+// CanonicalKey hashes, so any layer that keys or routes a request without
+// building a Flow calls it.
 func (s Settings) Effective() (Settings, error) {
 	if s.SlewLimit <= 0 {
 		s.SlewLimit = 100
@@ -303,6 +304,11 @@ func (s Settings) Effective() (Settings, error) {
 	case TopologyGreedy, TopologyBipartition:
 	default:
 		return Settings{}, fmt.Errorf("cts: unknown topology strategy %v", s.Topology)
+	}
+	switch s.Correction {
+	case CorrectionNone, CorrectionReEstimate, CorrectionFull:
+	default:
+		return Settings{}, fmt.Errorf("cts: unknown correction mode %v", s.Correction)
 	}
 	return s, nil
 }

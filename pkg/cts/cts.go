@@ -74,67 +74,29 @@ const (
 	CorrectionFull
 )
 
-// String implements fmt.Stringer.
-func (c Correction) String() string {
-	switch c {
-	case CorrectionNone:
-		return "none"
-	case CorrectionReEstimate:
-		return "re-estimation"
-	case CorrectionFull:
-		return "correction"
-	default:
-		return fmt.Sprintf("mode(%d)", int(c))
-	}
+// correctionCodec is Correction's token table.  Its aliases are the
+// display names String returns.
+var correctionCodec = enumCodec[Correction]{
+	kind:    "correction mode",
+	other:   "mode(%d)",
+	tokens:  []string{"none", "reestimate", "full"},
+	aliases: []string{"none", "re-estimation", "correction"},
 }
 
-// token is the canonical machine-readable name used by JSON and flag values.
-func (c Correction) token() string {
-	switch c {
-	case CorrectionNone:
-		return "none"
-	case CorrectionReEstimate:
-		return "reestimate"
-	case CorrectionFull:
-		return "full"
-	default:
-		return fmt.Sprintf("mode(%d)", int(c))
-	}
-}
+// String implements fmt.Stringer with the display names "none",
+// "re-estimation" and "correction".
+func (c Correction) String() string { return correctionCodec.alias(c) }
 
 // MarshalJSON encodes the mode as its canonical token ("none", "reestimate",
 // "full").
-func (c Correction) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + c.token() + `"`), nil
-}
+func (c Correction) MarshalJSON() ([]byte, error) { return correctionCodec.marshal(c), nil }
 
 // UnmarshalJSON accepts any spelling ParseCorrection accepts.
-func (c *Correction) UnmarshalJSON(b []byte) error {
-	s := string(b)
-	if len(s) >= 2 && s[0] == '"' && s[len(s)-1] == '"' {
-		s = s[1 : len(s)-1]
-	}
-	mode, err := ParseCorrection(s)
-	if err != nil {
-		return err
-	}
-	*c = mode
-	return nil
-}
+func (c *Correction) UnmarshalJSON(b []byte) error { return correctionCodec.unmarshal(b, c) }
 
 // ParseCorrection parses a correction mode name as used by flags and JSON:
 // "none", "reestimate" (or "re-estimation") and "full" (or "correction").
-func ParseCorrection(s string) (Correction, error) {
-	switch s {
-	case "none", "":
-		return CorrectionNone, nil
-	case "reestimate", "re-estimation":
-		return CorrectionReEstimate, nil
-	case "full", "correction":
-		return CorrectionFull, nil
-	}
-	return CorrectionNone, fmt.Errorf("cts: unknown correction mode %q", s)
-}
+func ParseCorrection(s string) (Correction, error) { return correctionCodec.parse(s) }
 
 // TopologyStrategy selects the pairing strategy of the default topology
 // stage (see WithTopologyStrategy).
@@ -154,49 +116,26 @@ const (
 	TopologyBipartition
 )
 
-// String implements fmt.Stringer.
-func (s TopologyStrategy) String() string {
-	switch s {
-	case TopologyGreedy:
-		return "greedy"
-	case TopologyBipartition:
-		return "bipartition"
-	default:
-		return fmt.Sprintf("strategy(%d)", int(s))
-	}
+// topologyCodec is TopologyStrategy's token table.
+var topologyCodec = enumCodec[TopologyStrategy]{
+	kind:   "topology strategy",
+	other:  "strategy(%d)",
+	tokens: []string{"greedy", "bipartition"},
 }
+
+// String implements fmt.Stringer.
+func (s TopologyStrategy) String() string { return topologyCodec.token(s) }
 
 // MarshalJSON encodes the strategy as its canonical token ("greedy",
 // "bipartition").
-func (s TopologyStrategy) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + s.String() + `"`), nil
-}
+func (s TopologyStrategy) MarshalJSON() ([]byte, error) { return topologyCodec.marshal(s), nil }
 
 // UnmarshalJSON accepts any spelling ParseTopologyStrategy accepts.
-func (s *TopologyStrategy) UnmarshalJSON(b []byte) error {
-	str := string(b)
-	if len(str) >= 2 && str[0] == '"' && str[len(str)-1] == '"' {
-		str = str[1 : len(str)-1]
-	}
-	v, err := ParseTopologyStrategy(str)
-	if err != nil {
-		return err
-	}
-	*s = v
-	return nil
-}
+func (s *TopologyStrategy) UnmarshalJSON(b []byte) error { return topologyCodec.unmarshal(b, s) }
 
 // ParseTopologyStrategy parses a strategy name as used by flags and JSON:
 // "greedy" (or empty, the default) and "bipartition".
-func ParseTopologyStrategy(s string) (TopologyStrategy, error) {
-	switch s {
-	case "greedy", "":
-		return TopologyGreedy, nil
-	case "bipartition":
-		return TopologyBipartition, nil
-	}
-	return TopologyGreedy, fmt.Errorf("cts: unknown topology strategy %q", s)
-}
+func ParseTopologyStrategy(s string) (TopologyStrategy, error) { return topologyCodec.parse(s) }
 
 // RoutingStrategy selects the maze-routing path of the default merge-routing
 // stage (see WithRoutingStrategy).
@@ -217,48 +156,90 @@ const (
 	RoutingHierarchical
 )
 
-// String implements fmt.Stringer.
-func (s RoutingStrategy) String() string {
-	switch s {
-	case RoutingFlat:
-		return "flat"
-	case RoutingHierarchical:
-		return "hierarchical"
-	default:
-		return fmt.Sprintf("routing(%d)", int(s))
-	}
+// routingCodec is RoutingStrategy's token table.
+var routingCodec = enumCodec[RoutingStrategy]{
+	kind:   "routing strategy",
+	other:  "routing(%d)",
+	tokens: []string{"flat", "hierarchical"},
 }
+
+// String implements fmt.Stringer.
+func (s RoutingStrategy) String() string { return routingCodec.token(s) }
 
 // MarshalJSON encodes the strategy as its canonical token ("flat",
 // "hierarchical").
-func (s RoutingStrategy) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + s.String() + `"`), nil
-}
+func (s RoutingStrategy) MarshalJSON() ([]byte, error) { return routingCodec.marshal(s), nil }
 
 // UnmarshalJSON accepts any spelling ParseRoutingStrategy accepts.
-func (s *RoutingStrategy) UnmarshalJSON(b []byte) error {
-	str := string(b)
-	if len(str) >= 2 && str[0] == '"' && str[len(str)-1] == '"' {
-		str = str[1 : len(str)-1]
-	}
-	v, err := ParseRoutingStrategy(str)
-	if err != nil {
-		return err
-	}
-	*s = v
-	return nil
-}
+func (s *RoutingStrategy) UnmarshalJSON(b []byte) error { return routingCodec.unmarshal(b, s) }
 
 // ParseRoutingStrategy parses a strategy name as used by flags and JSON:
 // "flat" (or empty, the default) and "hierarchical".
-func ParseRoutingStrategy(s string) (RoutingStrategy, error) {
-	switch s {
-	case "flat", "":
-		return RoutingFlat, nil
-	case "hierarchical":
-		return RoutingHierarchical, nil
+func ParseRoutingStrategy(s string) (RoutingStrategy, error) { return routingCodec.parse(s) }
+
+// enumCodec is the one token table of a setting enum: the canonical token of
+// each value, in value order, which JSON and CanonicalKey carry, and
+// optionally an alias per value that parsing also accepts.  The empty string
+// parses as the zero value, the default.
+type enumCodec[T ~int] struct {
+	kind    string   // names the enum in errors
+	other   string   // formats a value outside the table
+	tokens  []string // by value
+	aliases []string // by value; nil when the enum has none
+}
+
+// token returns v's canonical token, or v formatted by other when v is
+// outside the table.
+func (c *enumCodec[T]) token(v T) string {
+	if v >= 0 && int(v) < len(c.tokens) {
+		return c.tokens[v]
 	}
-	return RoutingFlat, fmt.Errorf("cts: unknown routing strategy %q", s)
+	return fmt.Sprintf(c.other, int(v))
+}
+
+// alias returns v's alias, or its token when it has none.
+func (c *enumCodec[T]) alias(v T) string {
+	if v >= 0 && int(v) < len(c.aliases) {
+		return c.aliases[v]
+	}
+	return c.token(v)
+}
+
+// check rejects a value outside the table, naming it by its token.
+func (c *enumCodec[T]) check(v T) error {
+	if v >= 0 && int(v) < len(c.tokens) {
+		return nil
+	}
+	return fmt.Errorf("cts: unknown %s %s", c.kind, c.token(v))
+}
+
+// marshal encodes v as its quoted token.
+func (c *enumCodec[T]) marshal(v T) []byte { return []byte(`"` + c.token(v) + `"`) }
+
+// unmarshal decodes a JSON string (or bare word) into *v through parse.
+func (c *enumCodec[T]) unmarshal(b []byte, v *T) error {
+	s := string(b)
+	if len(s) >= 2 && s[0] == '"' && s[len(s)-1] == '"' {
+		s = s[1 : len(s)-1]
+	}
+	p, err := c.parse(s)
+	if err == nil {
+		*v = p
+	}
+	return err
+}
+
+// parse maps a token or an alias to its value, and "" to the zero value.
+func (c *enumCodec[T]) parse(s string) (T, error) {
+	if s == "" {
+		return 0, nil
+	}
+	for v, tok := range c.tokens {
+		if s == tok || (v < len(c.aliases) && s == c.aliases[v]) {
+			return T(v), nil
+		}
+	}
+	return 0, fmt.Errorf("cts: unknown %s %q", c.kind, s)
 }
 
 // Item summarizes one sub-tree root for topology pairing: its position and

@@ -54,14 +54,9 @@ func (f *Flow) run(ctx context.Context, item string, sinks []Sink, incremental b
 	// Level 0: every sink is its own sub-tree.  ValidateSinks has already
 	// rejected duplicate names (including clashes with the sink_<n> defaults
 	// generated here), so the names are unique.  With a subtree cache
-	// configured, track carries each sub-tree's Merkle key and effective
-	// sink subset alongside current.
+	// configured, each record also carries its Merkle key and sink subset.
 	cache := f.cfg.subtreeCache
-	current := make([]*mergeroute.Subtree, len(sinks))
-	var track []subtreeMeta
-	if cache != nil {
-		track = make([]subtreeMeta, len(sinks))
-	}
+	current := make([]levelNode, len(sinks))
 	for i, s := range sinks {
 		if s.Name == "" {
 			s.Name = fmt.Sprintf("sink_%d", i)
@@ -69,10 +64,9 @@ func (f *Flow) run(ctx context.Context, item string, sinks []Sink, incremental b
 		if s.Cap <= 0 {
 			s.Cap = f.cfg.tech.SinkCapDefault
 		}
-		current[i] = mergeroute.SinkSubtree(s.Name, s.Pos, s.Cap)
-		if track != nil {
-			subset := []Sink{s}
-			track[i] = subtreeMeta{key: subtreeKeySorted(f.subtreePrefix, subset), sinks: subset}
+		current[i].st = mergeroute.SinkSubtree(s.Name, s.Pos, s.Cap)
+		if cache != nil {
+			current[i].key, current[i].sinks = f.leafKey(s)
 		}
 	}
 
@@ -93,8 +87,8 @@ func (f *Flow) run(ctx context.Context, item string, sinks []Sink, incremental b
 		topoStart := time.Now()
 		f.emit(Event{Kind: EventStageStart, Item: item, Stage: StageTopology, Level: level})
 		items := make([]Item, len(current))
-		for i, st := range current {
-			items[i] = Item{Pos: st.Pos(), Delay: st.MaxDelay}
+		for i, n := range current {
+			items[i] = Item{Pos: n.st.Pos(), Delay: n.st.MaxDelay}
 		}
 		pairs, seed, err := f.cfg.topology.Pair(ctx, items)
 		if err != nil {
@@ -108,7 +102,7 @@ func (f *Flow) run(ctx context.Context, item string, sinks []Sink, incremental b
 		//ctslint:allow determinism -- elapsed-time metadata only; feeds Event.Elapsed, never geometry
 		mergeStart := time.Now()
 		f.emit(Event{Kind: EventStageStart, Item: item, Stage: StageMergeRoute, Level: level})
-		next := make([]*mergeroute.Subtree, 0, len(pairs)+1)
+		next := make([]levelNode, 0, len(pairs)+1)
 		// Every sub-tree must be consumed exactly once per level: a custom
 		// TopologyBuilder that drops one would silently lose sinks, and one
 		// that reuses an index would attach the same tree node twice.
@@ -134,29 +128,11 @@ func (f *Flow) run(ctx context.Context, item string, sinks []Sink, incremental b
 				return nil, fmt.Errorf("cts: topology level %d: sub-tree %d left unmatched", level, i)
 			}
 		}
-		var merged []*mergeroute.Subtree
-		var mergedTrack []subtreeMeta
-		var levelFlips, levelReused int
-		if cache != nil {
-			merged, mergedTrack, levelFlips, levelReused, err = f.mergeLevelCached(ctx, merger, current, pairs, track, incremental, res.Incremental)
-		} else {
-			var perFlips []int
-			merged, perFlips, err = f.mergeLevel(ctx, merger, current, pairs)
-			for _, fl := range perFlips {
-				levelFlips += fl
-			}
-		}
+		merged, levelFlips, levelReused, err := f.mergeLevel(ctx, merger, current, pairs, res.Incremental)
 		if err != nil {
 			return nil, err
 		}
 		next = append(next, merged...)
-		if track != nil {
-			nextTrack := make([]subtreeMeta, 0, len(mergedTrack)+1)
-			if seed >= 0 {
-				nextTrack = append(nextTrack, track[seed])
-			}
-			track = append(nextTrack, mergedTrack...)
-		}
 		f.emit(Event{
 			Kind: EventStageEnd, Item: item, Stage: StageMergeRoute, Level: level,
 			Pairs: len(pairs), Reused: levelReused, Elapsed: time.Since(mergeStart),
@@ -172,18 +148,18 @@ func (f *Flow) run(ctx context.Context, item string, sinks []Sink, incremental b
 		})
 	}
 
-	if track != nil {
+	root := current[0]
+	if cache != nil {
 		// Retain the synthesis-time view so this result can serve as the
 		// base of a later RunIncremental (which harvests its sub-trees into
 		// a cold cache and diffs its effective sink set).
-		res.rootSubtree = current[0]
-		res.effSinks = track[0].sinks
+		res.rootSubtree, res.effSinks = root.st, root.sinks
 	}
 
 	// Attach the clock source (with a buffered feed when it sits away from
 	// the tree root).
 	tree, err := timedStage(f, ctx, item, StageBuffering, func(ctx context.Context) (*clocktree.Tree, error) {
-		return f.cfg.bufferer.AttachSource(ctx, current[0], f.cfg.source)
+		return f.cfg.bufferer.AttachSource(ctx, root.st, f.cfg.source)
 	})
 	if err != nil {
 		return nil, err
@@ -214,88 +190,134 @@ func (f *Flow) run(ctx context.Context, item string, sinks []Sink, incremental b
 	return res, nil
 }
 
-// mergeLevel merge-routes every pair of one level.  The merges of a level are
-// independent (the levelized topology of Section 4.1.1 pairs disjoint
-// sub-trees), so the pairs are dispatched to a worker pool bounded by the
-// flow's parallelism.  Merged sub-trees and their flip counts are collected
-// into their pair's slot only after every worker has joined, so the returned
-// level is bit-identical to the sequential path for any pool width.  (Flips
-// are returned per pair rather than summed because the subtree cache stores
-// each merge's flip count alongside its encoded value.)
-func (f *Flow) mergeLevel(ctx context.Context, merger MergeRouter, current []*mergeroute.Subtree, pairs []Pairing) ([]*mergeroute.Subtree, []int, error) {
-	merged := make([]*mergeroute.Subtree, len(pairs))
+// levelNode is one sub-tree of the level loop.  With a subtree cache it
+// also carries its Merkle key and the effective sink subset it covers, in
+// sinkLess order, so a merge keys its subset with an O(m) sorted merge.
+type levelNode struct {
+	st    *mergeroute.Subtree
+	key   string
+	sinks []Sink
+}
+
+// mergeLevel merge-routes every pair of one level and returns the merged
+// records in pair order, the level's flip count and how many pairs the
+// subtree cache served.  With a cache every pair is keyed, and on a
+// RunIncremental run (stats non-nil) a pair the cache holds is decoded
+// instead of routed.  The level's merges are independent (Section 4.1.1
+// pairs disjoint sub-trees), so the rest go to a worker pool bounded by the
+// flow's parallelism, each into its pair's slot, read after every worker has
+// joined: the level is bit-identical to the sequential path at any width.
+// Routed merges are then written through, in pair order.
+func (f *Flow) mergeLevel(ctx context.Context, merger MergeRouter, current []levelNode, pairs []Pairing, stats *IncrementalStats) ([]levelNode, int, int, error) {
+	cache := f.cfg.subtreeCache
+	merged := make([]levelNode, len(pairs))
 	flips := make([]int, len(pairs))
-
-	workers := f.Parallelism()
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	if workers <= 1 {
-		for i, p := range pairs {
+	route := make([]int, 0, len(pairs)) // the pairs to merge-route
+	for i, p := range pairs {
+		if cache != nil {
 			if err := ctx.Err(); err != nil {
-				return nil, nil, err
+				return nil, 0, 0, err
 			}
-			m, fl, err := merger.Merge(ctx, current[p.A], current[p.B])
-			if err != nil {
-				return nil, nil, err
-			}
-			merged[i], flips[i] = m, fl
+			merged[i].key, merged[i].sinks = f.mergeKey(current[p.A], current[p.B])
 		}
-		return merged, flips, nil
-	}
-
-	// Fan out: a failing merge cancels the level's context so the other
-	// workers drain their remaining pairs quickly.
-	lctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	errs := make([]error, len(pairs))
-	indices := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range indices {
-				p := pairs[i]
-				m, fl, err := merger.Merge(lctx, current[p.A], current[p.B])
-				if err != nil {
-					errs[i] = err
-					cancel()
+		if stats != nil {
+			if value, ok := cache.Get(merged[i].key); ok {
+				if st, fl, err := mergeroute.DecodeSubtree(value); err == nil {
+					merged[i].st, flips[i] = st, fl
 					continue
 				}
-				merged[i], flips[i] = m, fl
+				// An undecodable value is just a miss: the merge below
+				// recomputes the sub-tree, so a corrupt cache can cost time
+				// but never correctness.  The Put that follows does not
+				// replace the bad entry (MemorySubtreeCache only refreshes a
+				// resident key), so every later run recomputes this merge
+				// too: a cache fed from outside should check values before
+				// keeping them.
 			}
-		}()
+		}
+		route = append(route, i)
 	}
-	for i := range pairs {
-		indices <- i
+	merge := func(ctx context.Context, i int) (err error) {
+		merged[i].st, flips[i], err = merger.Merge(ctx, current[pairs[i].A].st, current[pairs[i].B].st)
+		return err
 	}
-	close(indices)
-	wg.Wait()
 
-	// Report the first real failure in pair order; cancellation errors are
-	// only fallbacks, since all but one of them are echoes of the level
-	// cancel (or of the caller's own context, which the caller reports too).
-	var firstErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
+	workers := min(f.Parallelism(), len(route))
+	if workers <= 1 {
+		for _, i := range route {
+			if err := ctx.Err(); err != nil {
+				return nil, 0, 0, err
+			}
+			if err := merge(ctx, i); err != nil {
+				return nil, 0, 0, err
+			}
 		}
-		if firstErr == nil {
-			firstErr = err
+	} else {
+		// Fan out: a failing merge cancels the level's context so the
+		// other workers drain their remaining pairs quickly.
+		lctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		errs := make([]error, len(pairs))
+		indices := make(chan int)
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				for i := range indices {
+					if err := merge(lctx, i); err != nil {
+						errs[i] = err
+						cancel()
+					}
+				}
+			}()
 		}
-		if !errors.Is(err, context.Canceled) {
-			firstErr = err
-			break
+		for _, i := range route {
+			indices <- i
+		}
+		close(indices)
+		wg.Wait()
+
+		// Report the first real failure in pair order; cancellation errors
+		// are only fallbacks, since all but one of them are echoes of the
+		// level cancel (or of the caller's own context, which the caller
+		// reports too).
+		var firstErr error
+		for _, err := range errs {
+			if err == nil {
+				continue
+			}
+			if firstErr == nil {
+				firstErr = err
+			}
+			if !errors.Is(err, context.Canceled) {
+				firstErr = err
+				break
+			}
+		}
+		if firstErr != nil {
+			return nil, 0, 0, firstErr
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, 0, 0, err
 		}
 	}
-	if firstErr != nil {
-		return nil, nil, firstErr
+
+	levelFlips := 0
+	for _, fl := range flips {
+		levelFlips += fl
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+	if cache != nil {
+		for _, i := range route {
+			cache.Put(merged[i].key, mergeroute.EncodeSubtree(merged[i].st, flips[i]))
+		}
 	}
-	return merged, flips, nil
+	reused := len(pairs) - len(route)
+	if stats != nil {
+		stats.ReusedSubtrees += reused
+		stats.RecomputedMerges += len(route)
+	}
+	return merged, levelFlips, reused, nil
 }
 
 // timedStage brackets one whole-flow stage with a context check and

@@ -46,15 +46,6 @@ type SinkDiff struct {
 	Moved int `json:"moved"`
 }
 
-// subtreeMeta rides alongside a sub-tree through the level loop: its Merkle
-// key and the effective (defaulted) sink subset it covers, kept in sinkLess
-// order so each merge canonicalizes its subset with an O(m) sorted merge
-// instead of a fresh sort.
-type subtreeMeta struct {
-	key   string
-	sinks []Sink
-}
-
 // RunIncremental synthesizes the sinks like Run, but consults the flow's
 // subtree cache (WithSubtreeCache, required) before routing each merge, so
 // sub-trees unchanged since earlier runs are reused instead of re-routed.
@@ -90,65 +81,6 @@ func (f *Flow) RunIncremental(ctx context.Context, base *Result, sinks []Sink) (
 	return res, nil
 }
 
-// mergeLevelCached is the cache-aware counterpart of mergeLevel: it computes
-// each pair's SubtreeKey, serves hits from the subtree cache (when lookup is
-// set), routes the misses through the ordinary mergeLevel fan-out, and
-// writes every routed merge back through.  Hit or miss, the per-pair results
-// are bit-identical to mergeLevel's, so the level stays deterministic.  The
-// reused return counts the pairs served from the cache, so the caller can
-// report per-level hit counts on its events.
-func (f *Flow) mergeLevelCached(ctx context.Context, merger MergeRouter, current []*mergeroute.Subtree, pairs []Pairing, track []subtreeMeta, lookup bool, stats *IncrementalStats) ([]*mergeroute.Subtree, []subtreeMeta, int, int, error) {
-	cache := f.cfg.subtreeCache
-	merged := make([]*mergeroute.Subtree, len(pairs))
-	mtrack := make([]subtreeMeta, len(pairs))
-	flips, reused := 0, 0
-	var missPairs []Pairing
-	var missIdx []int
-	for i, p := range pairs {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, 0, 0, err
-		}
-		a, b := track[p.A], track[p.B]
-		subset := mergeSortedSinks(a.sinks, b.sinks)
-		mtrack[i] = subtreeMeta{key: subtreeKeySorted(f.subtreePrefix, subset, a.key, b.key), sinks: subset}
-		if lookup {
-			if value, ok := cache.Get(mtrack[i].key); ok {
-				if st, fl, err := mergeroute.DecodeSubtree(value); err == nil {
-					merged[i] = st
-					flips += fl
-					reused++
-					stats.ReusedSubtrees++
-					continue
-				}
-				// An undecodable value is just a miss: the merge below
-				// recomputes the sub-tree, so a corrupt cache can cost time
-				// but never correctness.  The Put that follows does not
-				// replace the bad entry (MemorySubtreeCache only refreshes a
-				// resident key), so every later run recomputes this merge
-				// too: a cache fed from outside should check values before
-				// keeping them.
-			}
-		}
-		missPairs = append(missPairs, p)
-		missIdx = append(missIdx, i)
-	}
-	if len(missPairs) > 0 {
-		computed, perFlips, err := f.mergeLevel(ctx, merger, current, missPairs)
-		if err != nil {
-			return nil, nil, 0, 0, err
-		}
-		for k, idx := range missIdx {
-			merged[idx] = computed[k]
-			flips += perFlips[k]
-			cache.Put(mtrack[idx].key, mergeroute.EncodeSubtree(computed[k], perFlips[k]))
-		}
-		if stats != nil {
-			stats.RecomputedMerges += len(missPairs)
-		}
-	}
-	return merged, mtrack, flips, reused, nil
-}
-
 // harvestEntry is one memoized merge of a base result: its Merkle key and
 // the sub-tree node it addresses (encoded lazily, only when the cache is
 // missing the key).
@@ -169,23 +101,20 @@ func (f *Flow) harvestBase(base *Result) {
 		return
 	}
 	base.harvestOnce.Do(func() {
-		var walk func(s *mergeroute.Subtree) (string, []Sink)
-		walk = func(s *mergeroute.Subtree) (string, []Sink) {
+		var walk func(s *mergeroute.Subtree) levelNode
+		walk = func(s *mergeroute.Subtree) levelNode {
+			n := levelNode{st: s}
 			if s.Children[0] == nil || s.Children[1] == nil {
-				es := Sink{Name: s.Root.Name, Pos: s.Root.Pos, Cap: s.Root.SinkCap}
-				subset := []Sink{es}
-				return subtreeKeySorted(f.subtreePrefix, subset), subset
+				n.key, n.sinks = f.leafKey(Sink{Name: s.Root.Name, Pos: s.Root.Pos, Cap: s.Root.SinkCap})
+				return n
 			}
-			ka, sa := walk(s.Children[0])
-			kb, sb := walk(s.Children[1])
-			subset := mergeSortedSinks(sa, sb)
-			key := subtreeKeySorted(f.subtreePrefix, subset, ka, kb)
+			n.key, n.sinks = f.mergeKey(walk(s.Children[0]), walk(s.Children[1]))
 			fl := 0
 			if s.Flipped {
 				fl = 1
 			}
-			base.harvestKeys = append(base.harvestKeys, harvestEntry{key: key, node: s, flips: fl})
-			return key, subset
+			base.harvestKeys = append(base.harvestKeys, harvestEntry{key: n.key, node: s, flips: fl})
+			return n
 		}
 		walk(base.rootSubtree)
 	})

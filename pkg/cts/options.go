@@ -295,20 +295,14 @@ func (s Settings) Effective() (Settings, error) {
 	if s.GridSize <= 0 {
 		s.GridSize = 45
 	}
-	switch s.Routing {
-	case RoutingFlat, RoutingHierarchical:
-	default:
-		return Settings{}, fmt.Errorf("cts: unknown routing strategy %v", s.Routing)
+	if err := routingCodec.check(s.Routing); err != nil {
+		return Settings{}, err
 	}
-	switch s.Topology {
-	case TopologyGreedy, TopologyBipartition:
-	default:
-		return Settings{}, fmt.Errorf("cts: unknown topology strategy %v", s.Topology)
+	if err := topologyCodec.check(s.Topology); err != nil {
+		return Settings{}, err
 	}
-	switch s.Correction {
-	case CorrectionNone, CorrectionReEstimate, CorrectionFull:
-	default:
-		return Settings{}, fmt.Errorf("cts: unknown correction mode %v", s.Correction)
+	if err := correctionCodec.check(s.Correction); err != nil {
+		return Settings{}, err
 	}
 	return s, nil
 }

@@ -84,6 +84,19 @@ func subtreeKeySorted(prefix []byte, sorted []Sink, childKeys ...string) string 
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// leafKey returns a sink's leaf SubtreeKey and its one-sink subset.
+func (f *Flow) leafKey(s Sink) (string, []Sink) {
+	sinks := []Sink{s}
+	return subtreeKeySorted(f.subtreePrefix, sinks), sinks
+}
+
+// mergeKey returns the SubtreeKey of the merge of a and b, over their keys,
+// and the sorted sink subset it covers.
+func (f *Flow) mergeKey(a, b levelNode) (string, []Sink) {
+	sinks := mergeSortedSinks(a.sinks, b.sinks)
+	return subtreeKeySorted(f.subtreePrefix, sinks, a.key, b.key), sinks
+}
+
 // mergeSortedSinks merges two sinkLess-sorted slices into a fresh sorted
 // slice.  Sink names are unique within a run (ValidateSinks), so ties cannot
 // occur and the merge is the exact order sort.Slice would produce on the

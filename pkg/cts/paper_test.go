@@ -2,9 +2,11 @@ package cts_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/charlib"
 	"repro/internal/clocktree"
 	"repro/internal/geom"
@@ -157,5 +159,95 @@ func TestSkewScalesReasonablyWithSinkCount(t *testing.T) {
 		if math.IsNaN(res.Timing.MaxLatency) || res.Timing.MaxLatency <= 0 {
 			t.Errorf("n=%d: bad latency %v", n, res.Timing.MaxLatency)
 		}
+	}
+}
+
+// TestSlewLimitHoldsAcrossSettings is the paper's invariant as an oracle:
+// over GSRC r1-r5 scaled to 64 sinks, every combination of routing,
+// topology, correction and slew limit yields a tree whose worst slew meets
+// the limit in library timing, and so does a 1% move delta of the design
+// run through RunIncremental on the same cached flow.  One combination of
+// each of r1-r4 also runs the spice verifier on both trees, whose measured
+// worst slew must meet the limit too.  The designs run in parallel; -short
+// keeps r1 and r4.
+func TestSlewLimitHoldsAcrossSettings(t *testing.T) {
+	tt := tech.Default()
+	lib := charlib.NewAnalytic(tt)
+	designs := []string{"r1", "r2", "r3", "r4", "r5"}
+	if testing.Short() {
+		designs = []string{"r1", "r4"}
+	}
+	simulated := map[string]string{
+		"r1": "flat/greedy/none/70",
+		"r2": "flat/bipartition/correction/100",
+		"r3": "hierarchical/greedy/re-estimation/70",
+		"r4": "hierarchical/bipartition/correction/100",
+	}
+	for _, name := range designs {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			bm, err := bench.SyntheticScaled(name, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pert, err := bench.Perturb(bm, "move", 0.01, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			simulations := 0
+			for _, routing := range []cts.RoutingStrategy{cts.RoutingFlat, cts.RoutingHierarchical} {
+				for _, topo := range []cts.TopologyStrategy{cts.TopologyGreedy, cts.TopologyBipartition} {
+					for _, corr := range []cts.Correction{cts.CorrectionNone, cts.CorrectionReEstimate, cts.CorrectionFull} {
+						for _, limit := range []float64{70, 100} {
+							label := fmt.Sprintf("%v/%v/%v/%v", routing, topo, corr, limit)
+							opts := []cts.Option{
+								cts.WithLibrary(lib),
+								cts.WithRoutingStrategy(routing),
+								cts.WithTopologyStrategy(topo),
+								cts.WithCorrection(corr),
+								cts.WithSlewLimit(limit),
+								cts.WithSubtreeCache(cts.NewMemorySubtreeCache(0)),
+							}
+							verify := simulated[name] == label
+							if verify {
+								opts = append(opts, cts.WithVerification(spice.Options{TimeStep: 1}))
+							}
+							flow, err := cts.New(tt, opts...)
+							if err != nil {
+								t.Fatal(err)
+							}
+							res, err := flow.Run(context.Background(), bm.Sinks)
+							if err != nil {
+								t.Fatalf("%s: %v", label, err)
+							}
+							inc, err := flow.RunIncremental(context.Background(), res, pert.Sinks)
+							if err != nil {
+								t.Fatalf("%s delta: %v", label, err)
+							}
+							for _, r := range []struct {
+								run string
+								res *cts.Result
+							}{{"run", res}, {"delta", inc}} {
+								if r.res.Timing.WorstSlew > limit {
+									t.Errorf("%s %s: library worst slew %v ps exceeds the %v ps limit",
+										label, r.run, r.res.Timing.WorstSlew, limit)
+								}
+								if !verify {
+									continue
+								}
+								simulations++
+								if r.res.Verification.WorstSlew > limit {
+									t.Errorf("%s %s: simulated worst slew %v ps exceeds the %v ps limit",
+										label, r.run, r.res.Verification.WorstSlew, limit)
+								}
+							}
+						}
+					}
+				}
+			}
+			if _, ok := simulated[name]; ok && simulations != 2 {
+				t.Errorf("spice sample %q simulated %d trees, want 2", simulated[name], simulations)
+			}
+		})
 	}
 }

@@ -220,13 +220,14 @@ func (g *Gateway) job(w http.ResponseWriter, r *http.Request) (*gwJob, bool) {
 }
 
 // call is the gateway's one exchange with a member: it sends the request
-// (a body is JSON), reads the answer under maxRequestBytes and decodes a 2xx
-// body into out.  It returns the member's HTTP status (0 when no answer
-// arrived) and, on failure, the error to answer with: a transport or read
-// failure is a 503 member-unreachable, a non-2xx answer is the member's own
-// error, and an undecodable 2xx body is a 502 member-unreachable.  A
-// transport failure or a 503 (a draining member) starts its cooldown.
-func (g *Gateway) call(method, member, path string, body []byte, out any) (int, *APIError) {
+// (a body is JSON), reads the answer under maxRequestBytes and hands a 2xx
+// body to decode (fromJSON for a JSON answer).  It returns the member's HTTP
+// status (0 when no answer arrived) and, on failure, the error to answer
+// with: a transport or read failure is a 503 member-unreachable, a non-2xx
+// answer is the member's own error, and an undecodable 2xx body is a 502
+// member-unreachable.  A transport failure or a 503 (a draining member)
+// starts its cooldown.
+func (g *Gateway) call(method, member, path string, body []byte, decode func([]byte) error) (int, *APIError) {
 	req, err := http.NewRequest(method, member+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, &APIError{HTTPStatus: http.StatusBadGateway, Code: ErrMemberUnreachable,
@@ -252,11 +253,16 @@ func (g *Gateway) call(method, member, path string, body []byte, out any) (int, 
 	if resp.StatusCode/100 != 2 {
 		return resp.StatusCode, decodeAPIError(resp.StatusCode, data)
 	}
-	if err := json.Unmarshal(data, out); err != nil {
+	if err := decode(data); err != nil {
 		return resp.StatusCode, &APIError{HTTPStatus: http.StatusBadGateway, Code: ErrMemberUnreachable,
 			Message: fmt.Sprintf("member %s: undecodable answer to %s %s: %v", member, method, path, err)}
 	}
 	return resp.StatusCode, nil
+}
+
+// fromJSON is call's decode for a JSON answer: it unmarshals into out.
+func fromJSON(out any) func([]byte) error {
+	return func(data []byte) error { return json.Unmarshal(data, out) }
 }
 
 // candidates lists the key's ring replicas outside a failure cooldown, in
@@ -285,7 +291,7 @@ func refused(code int) bool {
 // not be reached) and the error come back for the caller to judge.
 func (g *Gateway) forwardSubmit(j *gwJob, body []byte, member string) (*JobStatus, int, *APIError) {
 	var st JobStatus
-	code, err := g.call(http.MethodPost, member, "/v1/jobs", body, &st)
+	code, err := g.call(http.MethodPost, member, "/v1/jobs", body, fromJSON(&st))
 	if err != nil {
 		return nil, code, err
 	}
@@ -423,7 +429,7 @@ func (g *Gateway) memberStatus(j *gwJob) (*JobStatus, *APIError) {
 				Message: fmt.Sprintf("job %s is not reachable on any member", j.id), RetryAfter: retryAfterSeconds}
 		}
 		var st JobStatus
-		code, err := g.call(http.MethodGet, member, "/v1/jobs/"+memberID, nil, &st)
+		code, err := g.call(http.MethodGet, member, "/v1/jobs/"+memberID, nil, fromJSON(&st))
 		switch {
 		case err == nil:
 			j.adopt("", &st)
@@ -468,7 +474,7 @@ func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	member, memberID := j.placement()
 	var st JobStatus
-	if _, err := g.call(http.MethodDelete, member, "/v1/jobs/"+memberID, nil, &st); err == nil {
+	if _, err := g.call(http.MethodDelete, member, "/v1/jobs/"+memberID, nil, fromJSON(&st)); err == nil {
 		j.adopt("", &st)
 		w.Header().Set(HeaderMember, member)
 		writeJSON(w, http.StatusOK, &st)
@@ -492,7 +498,7 @@ func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	member, memberID := j.placement()
 	var tr JobTrace
-	code, err := g.call(http.MethodGet, member, "/v1/jobs/"+memberID+"/trace", nil, &tr)
+	code, err := g.call(http.MethodGet, member, "/v1/jobs/"+memberID+"/trace", nil, fromJSON(&tr))
 	switch {
 	case err == nil:
 		tr.ID = j.id
@@ -600,7 +606,7 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
 	ok := make(chan bool, len(g.ring.members)) // a slot per probe, so late ones never block
 	for _, m := range g.ring.members {
 		go func() {
-			_, err := g.call(http.MethodGet, m, "/healthz", nil, &Health{})
+			_, err := g.call(http.MethodGet, m, "/healthz", nil, fromJSON(&Health{}))
 			ok <- err == nil
 		}()
 	}
@@ -613,25 +619,10 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusServiceUnavailable, Health{Status: "no healthy members", Draining: false})
 }
 
-// memberMetrics scrapes and strictly parses one member's /metrics.
-func (g *Gateway) memberMetrics(member string) (*obs.ParsedMetrics, error) {
-	resp, err := g.client.Get(member + "/metrics")
-	if err != nil {
-		g.down.markDown(member)
-		return nil, err
-	}
-	defer resp.Body.Close()
-	m, err := obs.ParseText(io.LimitReader(resp.Body, maxRequestBytes))
-	if err != nil {
-		g.log.Warn("member exposition unparsable", "member", member, "error", err)
-		return nil, fmt.Errorf("member %s: unparsable /metrics: %w", member, err)
-	}
-	return m, nil
-}
-
 // scrape is the gateway's one scrape-and-merge, behind GET /metrics and
-// GET /v1/stats: it reads every member's /metrics concurrently and sums the
-// parsable expositions with the gateway's own registry.  Given members, it
+// GET /v1/stats: it reads every member's /metrics concurrently through call,
+// strictly parsed, and sums the parsable expositions with the gateway's own
+// registry.  Given members, it
 // also polls each member's /v1/stats into it and sums only the members that
 // answered both, so the merge covers exactly the members listed healthy.
 func (g *Gateway) scrape(members []MemberStatus) (*obs.ParsedMetrics, error) {
@@ -639,18 +630,18 @@ func (g *Gateway) scrape(members []MemberStatus) (*obs.ParsedMetrics, error) {
 	g.fanOut(func(i int, m string) {
 		if members != nil {
 			var st Stats
-			if _, err := g.call(http.MethodGet, m, "/v1/stats", nil, &st); err != nil {
+			if _, err := g.call(http.MethodGet, m, "/v1/stats", nil, fromJSON(&st)); err != nil {
 				members[i] = MemberStatus{URL: m, Error: err.Message}
 				return
 			}
 			members[i] = MemberStatus{URL: m, Healthy: true, Stats: &st}
 		}
-		p, err := g.memberMetrics(m)
-		switch {
-		case err == nil:
-			parts[i+1] = p
-		case members != nil:
-			members[i] = MemberStatus{URL: m, Error: err.Error()}
+		_, err := g.call(http.MethodGet, m, "/metrics", nil, func(data []byte) (err error) {
+			parts[i+1], err = obs.ParseText(bytes.NewReader(data))
+			return err
+		})
+		if err != nil && members != nil {
+			members[i] = MemberStatus{URL: m, Error: err.Message}
 		}
 	})
 	parts[0] = g.reg.Gather() // last, so member_up counts this scrape's failures

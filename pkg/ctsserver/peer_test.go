@@ -3,9 +3,11 @@ package ctsserver
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -196,5 +198,57 @@ func TestCooldown(t *testing.T) {
 	p.down.markDown("http://peer-a")
 	if got, want := p.list(), []string{"http://peer-b"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("peer list with peer-a cooling down: %v, want %v", got, want)
+	}
+}
+
+// TestGatewayScrapeThroughCall checks that the gateway's /metrics scrape is
+// an ordinary member exchange: a member whose exposition does not parse is
+// reported in ClusterStats with call's undecodable-answer error (and is not
+// cooled down: it answered), and a member answering 503 (draining) enters
+// the cooldown, as it does for every other exchange.
+func TestGatewayScrapeThroughCall(t *testing.T) {
+	member := func(metrics func(w http.ResponseWriter)) string {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/metrics" {
+				metrics(w)
+				return
+			}
+			writeJSON(w, http.StatusOK, Stats{})
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	garbled := member(func(w http.ResponseWriter) { _, _ = w.Write([]byte("not an exposition{\n")) })
+	draining := member(func(w http.ResponseWriter) {
+		writeError(w, &APIError{HTTPStatus: http.StatusServiceUnavailable, Code: ErrDraining, Message: "draining"})
+	})
+	g, err := NewGateway(GatewayOptions{Members: []string{garbled, draining}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+
+	rec := httptest.NewRecorder()
+	g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var cs ClusterStats
+	if err := json.Unmarshal(rec.Body.Bytes(), &cs); err != nil {
+		t.Fatalf("gateway stats %d %q: %v", rec.Code, rec.Body, err)
+	}
+	if len(cs.Members) != 2 {
+		t.Fatalf("gateway stats list %d members, want 2", len(cs.Members))
+	}
+	for _, ms := range cs.Members {
+		if ms.Healthy {
+			t.Errorf("member %s healthy, want its failed scrape reported", ms.URL)
+		}
+		if want := "member " + garbled + ": undecodable answer to GET /metrics: "; ms.URL == garbled && !strings.HasPrefix(ms.Error, want) {
+			t.Errorf("garbled member error %q, want prefix %q", ms.Error, want)
+		}
+	}
+	if !g.down.up(garbled) {
+		t.Error("a member that answered an unparsable exposition is cooling down")
+	}
+	if g.down.up(draining) {
+		t.Error("a member that answered the scrape 503 is not cooling down")
 	}
 }

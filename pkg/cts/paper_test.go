@@ -169,13 +169,14 @@ func TestSkewScalesReasonablyWithSinkCount(t *testing.T) {
 // run through RunIncremental on the same cached flow.  One combination of
 // each of r1-r4 also runs the spice verifier on both trees, whose measured
 // worst slew must meet the limit too.  The designs run in parallel; -short
-// keeps r1 and r4.
+// keeps r1 without full correction, which costs most of the run time.
 func TestSlewLimitHoldsAcrossSettings(t *testing.T) {
 	tt := tech.Default()
 	lib := charlib.NewAnalytic(tt)
 	designs := []string{"r1", "r2", "r3", "r4", "r5"}
+	corrections := []cts.Correction{cts.CorrectionNone, cts.CorrectionReEstimate, cts.CorrectionFull}
 	if testing.Short() {
-		designs = []string{"r1", "r4"}
+		designs, corrections = designs[:1], corrections[:2]
 	}
 	simulated := map[string]string{
 		"r1": "flat/greedy/none/70",
@@ -197,7 +198,7 @@ func TestSlewLimitHoldsAcrossSettings(t *testing.T) {
 			simulations := 0
 			for _, routing := range []cts.RoutingStrategy{cts.RoutingFlat, cts.RoutingHierarchical} {
 				for _, topo := range []cts.TopologyStrategy{cts.TopologyGreedy, cts.TopologyBipartition} {
-					for _, corr := range []cts.Correction{cts.CorrectionNone, cts.CorrectionReEstimate, cts.CorrectionFull} {
+					for _, corr := range corrections {
 						for _, limit := range []float64{70, 100} {
 							label := fmt.Sprintf("%v/%v/%v/%v", routing, topo, corr, limit)
 							opts := []cts.Option{

@@ -622,9 +622,9 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
 // scrape is the gateway's one scrape-and-merge, behind GET /metrics and
 // GET /v1/stats: it reads every member's /metrics concurrently through call,
 // strictly parsed, and sums the parsable expositions with the gateway's own
-// registry.  Given members, it
-// also polls each member's /v1/stats into it and sums only the members that
-// answered both, so the merge covers exactly the members listed healthy.
+// registry.  Given members, it also polls each member's /v1/stats into it
+// and sums only the members that answered both, so the merge covers exactly
+// the members listed healthy.
 func (g *Gateway) scrape(members []MemberStatus) (*obs.ParsedMetrics, error) {
 	parts := make([]*obs.ParsedMetrics, len(g.ring.members)+1)
 	g.fanOut(func(i int, m string) {

@@ -3,7 +3,9 @@ package mergeroute
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -142,6 +144,119 @@ func TestMergeErrorsAndDetach(t *testing.T) {
 	Detach(a, b)
 	if a.Root.Parent != nil || b.Root.Parent != nil {
 		t.Error("Detach should clear the parent links")
+	}
+}
+
+// TestMergeAttachesOnlyInputRoots pins what Merge changes in its inputs: the
+// parent link and wire length of the two input roots, and nothing else
+// reachable from them, neither a node's fields or children nor a skeleton
+// Subtree.  The correction router undoes a trial merge by restoring just
+// those attachments.
+func TestMergeAttachesOnlyInputRoots(t *testing.T) {
+	tt := tech.Default()
+	lib := charlib.NewAnalytic(tt)
+	sink := func(name string, x, y float64) *Subtree {
+		return SinkSubtree(name, geom.Pt(x, y), tt.SinkCapDefault)
+	}
+	// mergeAll merges a power-of-two list of sub-trees pairwise, level by
+	// level, into one composite.
+	mergeAll := func(t *testing.T, m *Merger, subs ...*Subtree) *Subtree {
+		for len(subs) > 1 {
+			next := subs[:0:0]
+			for i := 0; i < len(subs); i += 2 {
+				merged, err := m.Merge(context.Background(), subs[i], subs[i+1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				next = append(next, merged)
+			}
+			subs = next
+		}
+		return subs[0]
+	}
+	cases := []struct {
+		name  string
+		snake bool
+		build func(t *testing.T, m *Merger) (a, b *Subtree)
+	}{
+		{"two sinks", false, func(t *testing.T, m *Merger) (*Subtree, *Subtree) {
+			return sink("a", 0, 0), sink("b", 3000, 1200)
+		}},
+		{"sub-cell separation", false, func(t *testing.T, m *Merger) (*Subtree, *Subtree) {
+			return sink("a", 500, 500), sink("b", 500.25, 500)
+		}},
+		{"composites", false, func(t *testing.T, m *Merger) (*Subtree, *Subtree) {
+			return mergeAll(t, m, sink("a1", 0, 0), sink("a2", 800, 300)),
+				mergeAll(t, m, sink("b1", 11500, 11200), sink("b2", 12000, 12000))
+		}},
+		// The deep composite's delay dwarfs what a 30 um path absorbs, so
+		// balance snakes the sink before routing.
+		{"deep composite beside a sink", true, func(t *testing.T, m *Merger) (*Subtree, *Subtree) {
+			deep := mergeAll(t, m,
+				sink("d0", 0, 0), sink("d1", 1500, 200), sink("d2", 300, 1800), sink("d3", 2000, 2100),
+				sink("d4", 3500, 400), sink("d5", 4200, 1500), sink("d6", 3100, 3600), sink("d7", 4400, 4000))
+			return deep, sink("near", deep.Pos().X+30, deep.Pos().Y)
+		}},
+	}
+	for _, tc := range cases {
+		for _, hier := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/hierarchical=%v", tc.name, hier), func(t *testing.T) {
+				m, err := New(tt, Config{Lib: lib, Hierarchical: hier})
+				if err != nil {
+					t.Fatal(err)
+				}
+				a, b := tc.build(t, m)
+				nodes := map[*clocktree.Node]clocktree.Node{}
+				subtrees := map[*Subtree]Subtree{}
+				var walk func(s *Subtree)
+				walk = func(s *Subtree) {
+					if s == nil {
+						return
+					}
+					subtrees[s] = *s
+					walk(s.Children[0])
+					walk(s.Children[1])
+				}
+				for _, s := range []*Subtree{a, b} {
+					walk(s)
+					clocktree.Walk(s.Root, func(n *clocktree.Node) {
+						snap := *n
+						snap.Children = slices.Clone(n.Children)
+						nodes[n] = snap
+					})
+				}
+
+				merged, err := m.Merge(context.Background(), a, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for s, want := range subtrees {
+					if *s != want {
+						t.Errorf("skeleton sub-tree changed: %+v, want %+v", *s, want)
+					}
+				}
+				for n, want := range nodes {
+					got := *n
+					if n == a.Root || n == b.Root {
+						want.Parent, want.WireLen = got.Parent, got.WireLen
+					}
+					if got.Name != want.Name || got.Kind != want.Kind || got.Pos != want.Pos ||
+						got.SinkCap != want.SinkCap || got.Buffer != want.Buffer || got.Parent != want.Parent ||
+						got.WireLen != want.WireLen || !slices.Equal(got.Children, want.Children) {
+						t.Errorf("node %q at %v changed: %+v, want %+v", n.Name, n.Pos, got, want)
+					}
+				}
+				snakes := 0
+				clocktree.Walk(merged.Root, func(n *clocktree.Node) {
+					if n.Name == "snake" {
+						snakes++
+					}
+				})
+				if tc.snake && snakes == 0 {
+					t.Error("no snake node: the case does not exercise balance")
+				}
+			})
+		}
 	}
 }
 

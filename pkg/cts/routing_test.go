@@ -135,6 +135,78 @@ func TestRoutingSizedGoldens(t *testing.T) {
 	}
 }
 
+// correctionGoldens pins both H-structure correction modes under both
+// routing strategies: the flip count and deck hash of SyntheticScaled(name,
+// 150) with default settings and the analytic library.  Full correction
+// routes and discards trial merges of the grandchild pairings, so these are
+// what a change to how the correction router undoes a trial must keep.  As
+// with flatGoldenDecks, a change here is a determinism-contract break, not a
+// test update.
+var correctionGoldens = map[string]struct {
+	flips int
+	deck  string
+}{
+	"r1/reestimate/flat":          {8, "825d6bf2e8a1f1aeb4fcc67b74e4eb8fac67f7ad224294d0e1d32599c6296319"},
+	"r1/reestimate/hierarchical":  {8, "825d6bf2e8a1f1aeb4fcc67b74e4eb8fac67f7ad224294d0e1d32599c6296319"},
+	"r1/full/flat":                {50, "0242763b0a6c517ede49caa382677175c7681b9702072b29b68d311899d34070"},
+	"r1/full/hierarchical":        {50, "0242763b0a6c517ede49caa382677175c7681b9702072b29b68d311899d34070"},
+	"r2/reestimate/flat":          {9, "7c6de86c401d610a48671a96713584e0a6c91a5efbd747734f5409d683df9b52"},
+	"r2/reestimate/hierarchical":  {10, "dd9dc9c2b64195dd9e8ecfb3c0aafc34f6899554936528beedd12ebc24207dd2"},
+	"r2/full/flat":                {53, "eef9cf7387591cf71a9eb83bd55b0f4a48ed50ef42639d3e4dd3071c20610153"},
+	"r2/full/hierarchical":        {53, "156497c1b505e3eb47aef4bfe58653ebc8ac272c286f78b5e0f8c5d20be1e5bd"},
+	"r3/reestimate/flat":          {9, "fdfae3c6761e48909dbc8c736913ec93ce5526097b1977043ac783b1425fd8be"},
+	"r3/reestimate/hierarchical":  {8, "1bc6c4245347beb95340b99a05ddcf68d2891daaf7f2ea28f2e1f361e2cce569"},
+	"r3/full/flat":                {41, "b99c59313a3b6da8e6cc8c12588dff67914811ed0151d4ce0ff2981ae0131997"},
+	"r3/full/hierarchical":        {44, "ad30610925674179533e872d35a800e5b42541a7923d116994fa8a85a8051b74"},
+	"f11/reestimate/flat":         {9, "20b880c8bba4eaa504b66058b18aea7568ab6b5af796d61227ffcfa4d55a24e9"},
+	"f11/reestimate/hierarchical": {9, "20b880c8bba4eaa504b66058b18aea7568ab6b5af796d61227ffcfa4d55a24e9"},
+	"f11/full/flat":               {42, "eb4eba47516dcde9a457d0d1ddca23237ebe3a6cc68f01ca57a4089e9fe24f7f"},
+	"f11/full/hierarchical":       {42, "87c723b014bea8c92bcdf558b49e58c4e9c53a6869c28392b0de34c9d628968c"},
+}
+
+// TestCorrectionGoldens runs every correctionGoldens row; -short keeps r1.
+func TestCorrectionGoldens(t *testing.T) {
+	tt := tech.Default()
+	lib := charlib.NewAnalytic(tt)
+	designs := []string{"r1", "r2", "r3", "f11"}
+	if testing.Short() {
+		designs = designs[:1]
+	}
+	for _, name := range designs {
+		bm, err := bench.SyntheticScaled(name, 150)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, corr := range []cts.Correction{cts.CorrectionReEstimate, cts.CorrectionFull} {
+			for _, routing := range []cts.RoutingStrategy{cts.RoutingFlat, cts.RoutingHierarchical} {
+				token, err := json.Marshal(corr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s/%s/%v", name, strings.Trim(string(token), `"`), routing)
+				t.Run(label, func(t *testing.T) {
+					want := correctionGoldens[label]
+					flow, err := cts.New(tt, cts.WithLibrary(lib),
+						cts.WithCorrection(corr), cts.WithRoutingStrategy(routing))
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := flow.Run(context.Background(), bm.Sinks)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Flippings != want.flips {
+						t.Errorf("flips = %d, want pinned %d", res.Flippings, want.flips)
+					}
+					if got := deckHash(t, res, name); got != want.deck {
+						t.Errorf("deck hash = %s, want pinned %s", got, want.deck)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestRoutingHierarchicalFlow checks the hierarchical strategy end to end at
 // the pipeline level: it must synthesize a valid tree, echo its strategy in
 // the result settings, be deterministic across runs, stay within the

@@ -62,7 +62,6 @@ func BenchmarkMergeRouteScale(b *testing.B) {
 					if _, err := m.Merge(context.Background(), sa, sb); err != nil {
 						b.Fatal(err)
 					}
-					mergeroute.Detach(sa, sb)
 				}
 			})
 		}

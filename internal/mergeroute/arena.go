@@ -21,10 +21,10 @@ type scratch struct {
 	// value of a freshly grown state array is always stale because the first
 	// expansion uses gen >= 1.
 	gen uint64
-	// statesA/statesB hold the two full-resolution expansions (both alive at
-	// once for the merge-cell scan); coarseA/coarseB hold the coarse pass.
+	// statesA/statesB hold the two expansions of one pass (both alive at
+	// once for the merge-cell scan): the coarse pass, then the search that
+	// stamps over it.
 	statesA, statesB []cellState
-	coarseA, coarseB []cellState
 	// visited is the generation-stamped closed set of the running expansion.
 	visited []uint64
 	// pq is the reusable best-first frontier.

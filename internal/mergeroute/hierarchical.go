@@ -2,76 +2,58 @@ package mergeroute
 
 import "context"
 
-// This file implements the hierarchical routing path (coarsen → corridor →
-// refine).  The flat expansion of mergeroute.go relaxes every cell of the
-// routing grid, which is quadratic in the grid resolution; for the large
-// grids of widely separated sub-trees almost all of that work is spent on
-// cells far from any sensible route.  The hierarchical path instead:
+// This file implements the hierarchical routing path's coarse pass.  The
+// flat search of mergeroute.go relaxes every cell of the routing grid, which
+// is quadratic in the grid resolution; for the large grids of widely
+// separated sub-trees almost all of that work is spent on cells far from any
+// sensible route.  The hierarchical path instead:
 //
 //  1. coarsens the grid by coarsenFactor (one coarse cell covers factor²
 //     full cells) and runs the identical best-first expansion on the
 //     coarse graph from both sub-tree roots;
 //
 //  2. picks the coarse merge cell exactly like the flat router picks its
-//     merge cell, reconstructs both coarse parent chains, and dilates them by
-//     one coarse cell in every direction into a corridor mask (the dilation
-//     also absorbs the ±1 cell float rounding between the two grids);
+//     merge cell and dilates both coarse parent chains by one coarse cell in
+//     every direction into a corridor mask (the dilation also absorbs the
+//     ±1 cell float rounding between the two grids);
 //
-//  3. re-runs the full-resolution expansion restricted to corridor cells, so
-//     buffer insertion, slew feasibility and the merge-cell choice are made
-//     at full resolution but only O(path length · factor) cells are relaxed.
+//  3. hands the mask to route, whose search then runs at full resolution on
+//     corridor cells only, so buffer insertion, slew feasibility and the
+//     merge-cell choice are made at full resolution but only
+//     O(path length · factor) cells are relaxed.
 //
 // Any failure — no common coarse cell, no corridor-restricted merge cell —
-// reports !ok and the caller falls back to the flat expansion, so
-// hierarchical routing succeeds wherever flat routing would.  The result is
-// deterministic (fixed expansion order, no clocks, no maps) but is not
-// bit-identical to flat routing: the corridor restriction can choose a
-// different merge cell, which is why the strategy is versioned in
-// cts.Settings (and therefore in cts.CanonicalKey) rather than silently
-// substituted.
-func (m *Merger) routeHierarchical(ctx context.Context, g grid, a, b *Subtree, rootA, rootB pathNode, sc *scratch) (pathA, pathB []pathNode, ok bool, err error) {
+// makes route fall back to the flat search, so hierarchical routing succeeds
+// wherever flat routing would.  The result is deterministic (fixed expansion
+// order, no clocks, no maps) but is not bit-identical to flat routing: the
+// corridor restriction can choose a different merge cell, which is why the
+// strategy is versioned in cts.Settings (and therefore in cts.CanonicalKey)
+// rather than silently substituted.
+
+// corridor runs the coarse pass: both expansions over the coarsened grid, in
+// sc.statesA and sc.statesB (the full-resolution search then stamps over
+// them), and the corridor around both chains to the coarse merge cell.  The
+// returned mask is nil when the coarse expansions share no cell.
+func (m *Merger) corridor(ctx context.Context, g grid, a, b *Subtree, sc *scratch) (corridorMask, error) {
 	gc := g.coarsen(coarsenFactor)
-
-	// Coarse pass: same expansion, factor²-fewer cells.
-	sc.coarseA = ensureStates(sc.coarseA, gc.nx*gc.ny)
-	sc.coarseB = ensureStates(sc.coarseB, gc.nx*gc.ny)
-	genCA, err := m.expand(ctx, gc, a, sc.coarseA, sc, corridorMask{})
+	sc.statesA = ensureStates(sc.statesA, gc.nx*gc.ny)
+	sc.statesB = ensureStates(sc.statesB, gc.nx*gc.ny)
+	genA, err := m.expand(ctx, gc, a, sc.statesA, sc, corridorMask{})
 	if err != nil {
-		return nil, nil, false, err
+		return corridorMask{}, err
 	}
-	genCB, err := m.expand(ctx, gc, b, sc.coarseB, sc, corridorMask{})
+	genB, err := m.expand(ctx, gc, b, sc.statesB, sc, corridorMask{})
 	if err != nil {
-		return nil, nil, false, err
+		return corridorMask{}, err
 	}
-	coarseBest := selectMergeCell(sc.coarseA, sc.coarseB, genCA, genCB)
-	if coarseBest < 0 {
-		return nil, nil, false, nil
+	best := selectMergeCell(sc.statesA, sc.statesB, genA, genB)
+	if best < 0 {
+		return corridorMask{}, nil
 	}
-
-	// Corridor: both coarse parent chains, dilated by one coarse cell.
 	sc.corridor = ensureCorridor(sc.corridor, gc.nx*gc.ny)
-	markCorridor(gc, sc.coarseA, coarseBest, sc.corridor)
-	markCorridor(gc, sc.coarseB, coarseBest, sc.corridor)
-
-	// Refinement pass: full resolution, corridor cells only.
-	corridor := corridorMask{mask: sc.corridor, factor: coarsenFactor, nxc: gc.nx}
-	sc.statesA = ensureStates(sc.statesA, g.nx*g.ny)
-	sc.statesB = ensureStates(sc.statesB, g.nx*g.ny)
-	genA, err := m.expand(ctx, g, a, sc.statesA, sc, corridor)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	genB, err := m.expand(ctx, g, b, sc.statesB, sc, corridor)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	bestIdx := selectMergeCell(sc.statesA, sc.statesB, genA, genB)
-	if bestIdx < 0 {
-		return nil, nil, false, nil
-	}
-	sc.pathA = m.reconstruct(sc.statesA, bestIdx, rootA, sc.pathA, &sc.rev)
-	sc.pathB = m.reconstruct(sc.statesB, bestIdx, rootB, sc.pathB, &sc.rev)
-	return sc.pathA, sc.pathB, true, nil
+	markCorridor(gc, sc.statesA, best, sc.corridor)
+	markCorridor(gc, sc.statesB, best, sc.corridor)
+	return corridorMask{mask: sc.corridor, factor: coarsenFactor, nxc: gc.nx}, nil
 }
 
 // markCorridor walks the coarse parent chain from the chosen merge cell back

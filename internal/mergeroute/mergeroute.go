@@ -202,9 +202,10 @@ type pathNode struct {
 }
 
 // Merge runs the three merge-routing stages on two sub-trees and returns the
-// merged sub-tree rooted at a buffered merge node.  The input sub-trees are
-// not modified; on success their root nodes become descendants of the new
-// merge node.
+// merged sub-tree rooted at a buffered merge node.  It attaches the inputs'
+// root nodes below the new merge node (their parent link and wire length)
+// and changes nothing else in the inputs, so a caller that discards the
+// merge undoes it by restoring those two attachments.
 //
 // The context is checked between stages and periodically inside the maze
 // expansion, so cancelling it aborts a long merge promptly with the context's
@@ -216,9 +217,8 @@ func (m *Merger) Merge(ctx context.Context, a, b *Subtree) (*Subtree, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Work on copies so that a failed or discarded merge leaves the inputs
-	// untouched (needed by the H-structure correction, which routes trial
-	// merges and keeps only the best).
+	// Work on copies: balance re-roots a snaked side, and the inputs'
+	// skeletons must stay as they are.
 	wa, wb := *a, *b
 
 	// Stage 1: balance.
@@ -246,18 +246,6 @@ func (m *Merger) Merge(ctx context.Context, a, b *Subtree) (*Subtree, error) {
 	merged.Children = [2]*Subtree{a, b}
 	merged.Level = maxInt(a.Level, b.Level) + 1
 	return merged, nil
-}
-
-// Detach undoes the structural attachment of a previously merged pair: it is
-// used by the H-structure correction to discard trial merges.  The sub-tree
-// roots of the former children become parentless again.
-func Detach(children ...*Subtree) {
-	for _, c := range children {
-		if c != nil && c.Root != nil {
-			c.Root.Parent = nil
-			c.Root.WireLen = 0
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -446,8 +434,8 @@ func (c corridorMask) allows(ix, iy int) bool {
 
 // route runs the two maze expansions and returns the reconstructed paths
 // from each sub-tree root to the selected merge cell.  With Hierarchical
-// configured and a large enough grid it routes through a coarse corridor
-// first, falling back to the flat expansion when the corridor search fails.
+// configured and a large enough grid it searches a coarse corridor first,
+// falling back to the flat search when the corridor yields no merge cell.
 func (m *Merger) route(ctx context.Context, a, b *Subtree, sc *scratch) (pathA, pathB []pathNode, err error) {
 	dist := a.Pos().Manhattan(b.Pos())
 	rootA := pathNode{pos: a.Pos(), node: a.Root, loadCap: a.LoadCap, downMin: a.MinDelay, downMax: a.MaxDelay}
@@ -462,40 +450,54 @@ func (m *Merger) route(ctx context.Context, a, b *Subtree, sc *scratch) (pathA, 
 	}
 
 	if m.cfg.Hierarchical && g.nx*g.ny >= hierMinCells {
-		pathA, pathB, ok, err := m.routeHierarchical(ctx, g, a, b, rootA, rootB, sc)
+		corridor, err := m.corridor(ctx, g, a, b, sc)
 		if err != nil {
 			return nil, nil, err
 		}
-		if ok {
-			return pathA, pathB, nil
+		if corridor.mask != nil {
+			ok, err := m.search(ctx, g, a, b, rootA, rootB, sc, corridor)
+			if err != nil {
+				return nil, nil, err
+			}
+			if ok {
+				return sc.pathA, sc.pathB, nil
+			}
 		}
-		// Corridor search failed (no common coarse or corridor-restricted
-		// merge cell): guaranteed fallback to the flat expansion below.
+		// No common coarse or corridor-restricted merge cell: guaranteed
+		// fallback to the flat search below.
 	}
-	return m.routeFlat(ctx, g, a, b, rootA, rootB, sc)
-}
-
-// routeFlat is the full-resolution bi-directional expansion over the whole
-// grid — bit-identical to the pre-hierarchical router.
-func (m *Merger) routeFlat(ctx context.Context, g grid, a, b *Subtree, rootA, rootB pathNode, sc *scratch) (pathA, pathB []pathNode, err error) {
-	sc.statesA = ensureStates(sc.statesA, g.nx*g.ny)
-	sc.statesB = ensureStates(sc.statesB, g.nx*g.ny)
-	genA, err := m.expand(ctx, g, a, sc.statesA, sc, corridorMask{})
+	ok, err := m.search(ctx, g, a, b, rootA, rootB, sc, corridorMask{})
 	if err != nil {
 		return nil, nil, err
 	}
-	genB, err := m.expand(ctx, g, b, sc.statesB, sc, corridorMask{})
-	if err != nil {
-		return nil, nil, err
-	}
-	bestIdx := selectMergeCell(sc.statesA, sc.statesB, genA, genB)
-	if bestIdx < 0 {
+	if !ok {
 		return nil, nil, fmt.Errorf("mergeroute: maze expansion found no common merge cell for roots %v and %v",
 			a.Pos(), b.Pos())
 	}
+	return sc.pathA, sc.pathB, nil
+}
+
+// search runs both expansions over g, restricted to the corridor when its
+// mask is set, selects the merge cell and reconstructs both paths into
+// sc.pathA and sc.pathB.  It reports false when the expansions share no cell.
+func (m *Merger) search(ctx context.Context, g grid, a, b *Subtree, rootA, rootB pathNode, sc *scratch, corridor corridorMask) (bool, error) {
+	sc.statesA = ensureStates(sc.statesA, g.nx*g.ny)
+	sc.statesB = ensureStates(sc.statesB, g.nx*g.ny)
+	genA, err := m.expand(ctx, g, a, sc.statesA, sc, corridor)
+	if err != nil {
+		return false, err
+	}
+	genB, err := m.expand(ctx, g, b, sc.statesB, sc, corridor)
+	if err != nil {
+		return false, err
+	}
+	bestIdx := selectMergeCell(sc.statesA, sc.statesB, genA, genB)
+	if bestIdx < 0 {
+		return false, nil
+	}
 	sc.pathA = m.reconstruct(sc.statesA, bestIdx, rootA, sc.pathA, &sc.rev)
 	sc.pathB = m.reconstruct(sc.statesB, bestIdx, rootB, sc.pathB, &sc.rev)
-	return sc.pathA, sc.pathB, nil
+	return true, nil
 }
 
 // selectMergeCell picks the grid cell reached by both expansions with the

@@ -125,7 +125,7 @@ func TestMergeCoLocatedRoots(t *testing.T) {
 	}
 }
 
-func TestMergeErrorsAndDetach(t *testing.T) {
+func TestMergeErrors(t *testing.T) {
 	m, tt := newMerger(t)
 	if _, err := m.Merge(context.Background(), nil, SinkSubtree("x", geom.Pt(0, 0), 10)); err == nil {
 		t.Error("expected error for nil sub-tree")
@@ -140,10 +140,6 @@ func TestMergeErrorsAndDetach(t *testing.T) {
 	}
 	if a.Root.Parent == nil || b.Root.Parent == nil {
 		t.Fatal("merge should attach the sub-tree roots")
-	}
-	Detach(a, b)
-	if a.Root.Parent != nil || b.Root.Parent != nil {
-		t.Error("Detach should clear the parent links")
 	}
 }
 

@@ -88,12 +88,16 @@ func (r *correctionMergeRouter) Merge(ctx context.Context, a, b *mergeroute.Subt
 		{{a1, b1}, {a2, b2}},
 		{{a1, b2}, {a2, b1}},
 	}
-	// Trial merges overwrite the grandchild roots' attachment (parent link and
-	// wire length); remember the originals so the "keep the original pairing"
-	// outcome can restore them exactly.
-	originalWire := map[*clocktree.Node]float64{}
-	for _, gc := range []*mergeroute.Subtree{a1, a2, b1, b2} {
-		originalWire[gc.Root] = gc.Root.WireLen
+	// A trial merge re-attaches the grandchild roots it takes (their parent
+	// link and wire length) and changes nothing else; remember those four
+	// attachments so that keeping the original pairing can put them back.
+	type attachment struct {
+		node, parent *clocktree.Node
+		wire         float64
+	}
+	var attached [4]attachment
+	for i, gc := range [4]*mergeroute.Subtree{a1, a2, b1, b2} {
+		attached[i] = attachment{gc.Root, gc.Root.Parent, gc.Root.WireLen}
 	}
 
 	best := 0
@@ -142,20 +146,17 @@ func (r *correctionMergeRouter) Merge(ctx context.Context, a, b *mergeroute.Subt
 	}
 
 	if best == 0 {
-		// Keep the original pairing: restore the grandchild attachments that
+		// Keep the original pairing: put back the grandchild attachments that
 		// trial merges may have overwritten, then merge the existing sub-trees.
-		mergeroute.Detach(a1, a2, b1, b2)
-		restore(a)
-		restore(b)
-		for _, gc := range []*mergeroute.Subtree{a1, a2, b1, b2} {
-			gc.Root.WireLen = originalWire[gc.Root]
+		for _, at := range attached {
+			at.node.Parent, at.node.WireLen = at.parent, at.wire
 		}
 		merged, err := r.merger.Merge(ctx, a, b)
 		return merged, 0, err
 	}
 
-	// Rebuild the winning pairing from scratch and merge its two halves.
-	mergeroute.Detach(a1, a2, b1, b2)
+	// Merge the winning pairing's halves; each Merge re-attaches the roots it
+	// takes, whatever a trial left them attached to.
 	left, err := r.merger.Merge(ctx, pairings[best][0][0], pairings[best][0][1])
 	if err != nil {
 		return nil, 0, err
@@ -170,19 +171,6 @@ func (r *correctionMergeRouter) Merge(ctx context.Context, a, b *mergeroute.Subt
 	}
 	merged.Flipped = true
 	return merged, 1, nil
-}
-
-// restore re-establishes the parent links inside a composite sub-tree after
-// trial merges re-attached some of its descendants elsewhere.
-func restore(s *mergeroute.Subtree) {
-	var relink func(n *clocktree.Node)
-	relink = func(n *clocktree.Node) {
-		for _, c := range n.Children {
-			c.Parent = n
-			relink(c)
-		}
-	}
-	relink(s.Root)
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ package clocktree
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/geom"
 	"repro/internal/tech"
@@ -226,14 +225,6 @@ func (t *Tree) Stats() Stats {
 	return s
 }
 
-// SubtreeWireLength returns the total wire length of the subtree rooted at n,
-// including the wire from n's parent to n.
-func SubtreeWireLength(n *Node) float64 {
-	var total float64
-	Walk(n, func(v *Node) { total += v.WireLen })
-	return total
-}
-
 // DownstreamCap returns the capacitance seen looking into node n from its
 // parent wire, stopping at buffer input pins: wire capacitance of unbuffered
 // downstream wires plus sink and buffer input capacitances.  It is the load a
@@ -250,16 +241,4 @@ func DownstreamCap(t *tech.Technology, n *Node) float64 {
 		total += t.WireCap(c.WireLen) + DownstreamCap(t, c)
 	}
 	return total
-}
-
-// NearestSinkDistance returns the smallest Manhattan distance from p to any
-// sink below n, or +Inf if the subtree has no sinks.
-func NearestSinkDistance(n *Node, p geom.Point) float64 {
-	best := math.Inf(1)
-	for _, s := range Sinks(n) {
-		if d := s.Pos.Manhattan(p); d < best {
-			best = d
-		}
-	}
-	return best
 }

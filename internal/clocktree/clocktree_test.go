@@ -287,21 +287,3 @@ func TestAnalyzeUsesBranchAndChainFastPaths(t *testing.T) {
 		}
 	}
 }
-
-func TestNearestSinkDistanceAndSubtreeWire(t *testing.T) {
-	tt := tech.Default()
-	tree := buildSymmetricTree(tt)
-	if d := NearestSinkDistance(tree.Root, geom.Pt(-1200, 0)); d != 0 {
-		t.Errorf("NearestSinkDistance at a sink = %v, want 0", d)
-	}
-	if d := NearestSinkDistance(tree.Root, geom.Pt(0, 100)); d != 500 {
-		t.Errorf("NearestSinkDistance = %v, want 500", d)
-	}
-	lone := &Node{Kind: KindRouting}
-	if d := NearestSinkDistance(lone, geom.Pt(0, 0)); !math.IsInf(d, 1) {
-		t.Errorf("NearestSinkDistance with no sinks = %v, want +Inf", d)
-	}
-	if w := SubtreeWireLength(tree.Root); w != 800*2+400*4 {
-		t.Errorf("SubtreeWireLength = %v", w)
-	}
-}

@@ -45,9 +45,6 @@ func ArcFromEndpoints(a, b Point) ManhattanArc {
 	}
 }
 
-// IsPoint reports whether the arc is a single point.
-func (a ManhattanArc) IsPoint() bool { return a.ULo == a.UHi && a.VLo == a.VHi }
-
 // Endpoints returns the two extreme points of the arc in ordinary
 // coordinates.  For a degenerate arc both returned points are equal.
 func (a ManhattanArc) Endpoints() (Point, Point) {

@@ -98,19 +98,11 @@ func (r Rect) Include(p Point) Rect {
 	return r
 }
 
-// Union returns the smallest rectangle containing both r and s.
-func (r Rect) Union(s Rect) Rect {
-	return r.Include(s.Lo).Include(s.Hi)
-}
-
 // Width returns the horizontal extent of the rectangle.
 func (r Rect) Width() float64 { return r.Hi.X - r.Lo.X }
 
 // Height returns the vertical extent of the rectangle.
 func (r Rect) Height() float64 { return r.Hi.Y - r.Lo.Y }
-
-// HalfPerimeter returns the half-perimeter wirelength of the rectangle.
-func (r Rect) HalfPerimeter() float64 { return r.Width() + r.Height() }
 
 // LongerDim returns the larger of the rectangle's width and height.
 func (r Rect) LongerDim() float64 { return math.Max(r.Width(), r.Height()) }
@@ -118,11 +110,6 @@ func (r Rect) LongerDim() float64 { return math.Max(r.Width(), r.Height()) }
 // Contains reports whether p lies inside or on the boundary of r.
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Lo.X && p.X <= r.Hi.X && p.Y >= r.Lo.Y && p.Y <= r.Hi.Y
-}
-
-// Center returns the centre point of the rectangle.
-func (r Rect) Center() Point {
-	return Point{(r.Lo.X + r.Hi.X) / 2, (r.Lo.Y + r.Hi.Y) / 2}
 }
 
 // Expand returns the rectangle grown by margin on every side.
@@ -150,10 +137,6 @@ type Segment struct {
 
 // Length returns the Manhattan length of the segment.
 func (s Segment) Length() float64 { return s.A.Manhattan(s.B) }
-
-// Midpoint returns the point halfway along the segment (straight-line
-// interpolation).
-func (s Segment) Midpoint() Point { return s.A.Lerp(s.B, 0.5) }
 
 // PointAtRatio returns the point M on the segment such that the Manhattan
 // distance |A,M| / |A,B| equals r.  For straight segments this coincides with

@@ -89,9 +89,6 @@ type Family struct {
 	byKey  map[string]*series // guarded by mu
 }
 
-// Name returns the family name.
-func (f *Family) Name() string { return f.name }
-
 // seriesFor returns the series for the label values, creating an owned
 // histogram on first use; given a Func series (fn, carrying read or
 // readHist) it binds that instead, panicking if the values are already

@@ -219,19 +219,6 @@ func (t *Technology) BufferByName(name string) (Buffer, bool) {
 	return Buffer{}, false
 }
 
-// BufferIndex returns the index of the named buffer in the library, or -1.
-func (t *Technology) BufferIndex(name string) int {
-	for i, b := range t.Buffers {
-		if b.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// SmallestBuffer returns the smallest buffer in the library.
-func (t *Technology) SmallestBuffer() Buffer { return t.Buffers[0] }
-
 // LargestBuffer returns the largest buffer in the library.
 func (t *Technology) LargestBuffer() Buffer { return t.Buffers[len(t.Buffers)-1] }
 
@@ -247,27 +234,4 @@ func (t *Technology) ClosestBufferByCap(cap float64) Buffer {
 		}
 	}
 	return best
-}
-
-// CriticalWireLength returns a first-order estimate of the longest wire that
-// a buffer of the given drive resistance can drive before the 10-90% output
-// slew exceeds slewLimit (ps), assuming an open-ended wire.  It is used to
-// size routing grids and wire-snaking steps before the characterized library
-// gives exact numbers.  The estimate comes from the single-pole
-// approximation slew ~= ln(9) * (Rd*C + R*C/2).
-func (t *Technology) CriticalWireLength(driveRes, loadCap, slewLimit float64) float64 {
-	// Solve ln9*( (Rd + r*l/2) * (c*l + Cl) ) * PsPerOhmFF = slewLimit for l.
-	ln9 := Ln9
-	a := t.UnitRes * t.UnitCap / 2
-	b := driveRes*t.UnitCap + t.UnitRes*loadCap/2
-	c := driveRes*loadCap - slewLimit/(ln9*PsPerOhmFF)
-	disc := b*b - 4*a*c
-	if disc <= 0 {
-		return 0
-	}
-	l := (-b + math.Sqrt(disc)) / (2 * a)
-	if l < 0 {
-		return 0
-	}
-	return l
 }

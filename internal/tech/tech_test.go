@@ -76,45 +76,14 @@ func TestBufferLookups(t *testing.T) {
 	if _, ok := tt.BufferByName("nope"); ok {
 		t.Error("expected lookup miss")
 	}
-	if i := tt.BufferIndex("BUF_X30"); i != 2 {
-		t.Errorf("BufferIndex = %d, want 2", i)
-	}
-	if i := tt.BufferIndex("nope"); i != -1 {
-		t.Errorf("BufferIndex miss = %d, want -1", i)
-	}
-	if tt.SmallestBuffer().Size != 10 || tt.LargestBuffer().Size != 30 {
-		t.Error("smallest/largest wrong")
+	if tt.LargestBuffer().Size != 30 {
+		t.Error("largest wrong")
 	}
 	if got := tt.ClosestBufferByCap(25); got.Name != "BUF_X20" {
 		t.Errorf("ClosestBufferByCap(25) = %s", got.Name)
 	}
 	if got := tt.ClosestBufferByCap(1000); got.Name != "BUF_X30" {
 		t.Errorf("ClosestBufferByCap(1000) = %s", got.Name)
-	}
-}
-
-func TestCriticalWireLengthMonotone(t *testing.T) {
-	tt := Default()
-	small := tt.SmallestBuffer()
-	large := tt.LargestBuffer()
-	lSmall := tt.CriticalWireLength(small.DriveRes, small.InputCap, 100)
-	lLarge := tt.CriticalWireLength(large.DriveRes, large.InputCap, 100)
-	if lSmall <= 0 || lLarge <= 0 {
-		t.Fatalf("critical lengths must be positive: %v %v", lSmall, lLarge)
-	}
-	if lLarge <= lSmall {
-		t.Errorf("larger buffer should drive a longer wire: small=%v large=%v", lSmall, lLarge)
-	}
-	// Tighter slew limits must shorten the critical length.
-	lTight := tt.CriticalWireLength(large.DriveRes, large.InputCap, 50)
-	if lTight >= lLarge {
-		t.Errorf("tighter slew limit should shorten critical length: %v >= %v", lTight, lLarge)
-	}
-	// The regime matches the paper's premise: in the 10x-scaled technology the
-	// critical length is well below typical die spans (several mm), so buffers
-	// must be inserted along routing paths.
-	if lLarge > 4000 {
-		t.Errorf("critical length %v um unexpectedly large for the 10x technology", lLarge)
 	}
 }
 

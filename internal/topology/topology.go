@@ -293,16 +293,6 @@ func matchGroup(items []Item, group []int, alpha, beta float64, pairs *[]Pair) {
 	}
 }
 
-// TotalCost returns the total edge cost of a matching, used by tests and by
-// the H-structure re-estimation heuristic.
-func TotalCost(items []Item, pairs []Pair, alpha, beta float64) float64 {
-	var sum float64
-	for _, p := range pairs {
-		sum += Cost(items[p.A], items[p.B], alpha, beta)
-	}
-	return sum
-}
-
 // Levels estimates the number of levels a levelized bottom-up merge of n
 // sinks produces (ceil(log2 n)); it is used for reporting only.
 func Levels(n int) int {

@@ -112,15 +112,7 @@ func TestMatchEdgeCases(t *testing.T) {
 	}
 }
 
-func TestTotalCostAndLevels(t *testing.T) {
-	items := []Item{
-		{Pos: geom.Pt(0, 0), Delay: 0},
-		{Pos: geom.Pt(10, 0), Delay: 5},
-	}
-	pairs := []Pair{{A: 0, B: 1}}
-	if got := TotalCost(items, pairs, 2, 1); got != 2*10+5 {
-		t.Errorf("TotalCost = %v, want 25", got)
-	}
+func TestLevels(t *testing.T) {
 	for _, tc := range []struct{ n, want int }{{0, 0}, {1, 0}, {2, 1}, {3, 2}, {8, 3}, {9, 4}, {267, 9}} {
 		if got := Levels(tc.n); got != tc.want {
 			t.Errorf("Levels(%d) = %d, want %d", tc.n, got, tc.want)

@@ -29,9 +29,6 @@ func New(times, values []float64) *Waveform {
 	return &Waveform{Times: times, Values: values}
 }
 
-// Len returns the number of samples.
-func (w *Waveform) Len() int { return len(w.Times) }
-
 // At returns the linearly interpolated value at time t.  Times outside the
 // sampled range return the first or last sample value.
 func (w *Waveform) At(t float64) float64 {

@@ -3,6 +3,7 @@ package cts_test
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -100,9 +101,29 @@ func TestNewValidation(t *testing.T) {
 }
 
 // TestSettingsEffective pins Effective to New: the same effective settings
-// value for value, and the same error for every rejected input.
+// value for value, and the same error for every rejected input.  The
+// rejected rows must fail: no tree can be built from a non-finite setting,
+// and a grid above 240 cells a side sizes expansion state past what a
+// member should hold for one merge.
 func TestSettingsEffective(t *testing.T) {
-	for _, s := range []cts.Settings{
+	nan, inf := math.NaN(), math.Inf(1)
+	rejected := []cts.Settings{
+		{Alpha: nan},
+		{Beta: inf},
+		{SlewTarget: nan},
+		{SlewLimit: inf, SlewTarget: 80},
+		{SlewLimit: nan},
+		{SlewLimit: -inf},
+		{Alpha: -inf, Beta: 20},
+		{GridSize: 241},
+		{GridSize: 10000},
+	}
+	for _, s := range rejected {
+		if eff, err := s.Effective(); err == nil {
+			t.Errorf("%+v: Effective accepted it as %+v", s, eff)
+		}
+	}
+	for _, s := range append(rejected, []cts.Settings{
 		{},
 		{SlewLimit: 140},
 		{SlewLimit: 100, SlewTarget: 60},
@@ -119,7 +140,8 @@ func TestSettingsEffective(t *testing.T) {
 		{Topology: 9},
 		{SlewTarget: 200, Routing: 7, Topology: 9},
 		{Correction: 7},
-	} {
+		{GridSize: 240},
+	}...) {
 		eff, effErr := s.Effective()
 		flow, newErr := cts.New(tech.Default(),
 			cts.WithSlewLimit(s.SlewLimit),

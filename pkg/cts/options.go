@@ -3,6 +3,7 @@ package cts
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -272,14 +273,30 @@ func New(t *tech.Technology, opts ...Option) (*Flow, error) {
 	return f, nil
 }
 
+// maxGridSize is the largest grid resolution R that Effective accepts: the
+// finest the repository runs (BenchmarkMergeRouteScale's sep_50mm_fine),
+// which keeps hierarchical routing's fine-grid regime reachable.  A 4 x 3 mm
+// pair at R = 240 expands 241 x 190 cells per side; R itself is not capped
+// by mergeroute.Config.MaxGridSize, which bounds only the dynamic growth.
+const maxGridSize = 240
+
 // Effective returns the settings with New's defaults applied: a 100 ps slew
 // limit, a target at 80% of the limit, alpha/beta = 1/20 when both are
-// zero and a grid resolution of 45.  It rejects a slew target above the
-// limit, unknown routing or topology strategies and an unknown correction
-// mode.  The result is what a Flow runs with, what Result echoes and what
-// CanonicalKey hashes, so any layer that keys or routes a request without
-// building a Flow calls it.
+// zero and a grid resolution of 45.  It rejects a non-finite slew limit,
+// slew target, alpha or beta, a slew target above the limit, a grid
+// resolution above 240, unknown routing or topology strategies and an
+// unknown correction mode.  The result is what a Flow runs with, what
+// Result echoes and what CanonicalKey hashes, so any layer that keys or
+// routes a request without building a Flow calls it.
 func (s Settings) Effective() (Settings, error) {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"slew limit", s.SlewLimit}, {"slew target", s.SlewTarget}, {"alpha", s.Alpha}, {"beta", s.Beta}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return Settings{}, fmt.Errorf("cts: %s %v is not finite", f.name, f.v)
+		}
+	}
 	if s.SlewLimit <= 0 {
 		s.SlewLimit = 100
 	}
@@ -294,6 +311,9 @@ func (s Settings) Effective() (Settings, error) {
 	}
 	if s.GridSize <= 0 {
 		s.GridSize = 45
+	}
+	if s.GridSize > maxGridSize {
+		return Settings{}, fmt.Errorf("cts: grid size %d exceeds the maximum %d", s.GridSize, maxGridSize)
 	}
 	if err := routingCodec.check(s.Routing); err != nil {
 		return Settings{}, err

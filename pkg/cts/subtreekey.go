@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"math"
 	"sort"
 )
@@ -25,7 +24,8 @@ import (
 // pipeline would produce byte-identical trees for them, which is what makes
 // the key usable as a subtree-cache address.  Like CanonicalKey, the key
 // assumes a fixed technology and characterization library: a SubtreeCache
-// must not be shared across different ones.
+// must not be shared across different ones.  SubtreeKey panics on the
+// settings CanonicalKey panics on.
 func SubtreeKey(s Settings, sinks []Sink, childKeys ...string) string {
 	sorted := make([]Sink, len(sinks))
 	copy(sorted, sinks)
@@ -39,9 +39,7 @@ func SubtreeKey(s Settings, sinks []Sink, childKeys ...string) string {
 // computations of a run — the JSON marshal is reflective and would otherwise
 // dominate the keying cost.
 func subtreeKeyPrefix(s Settings) []byte {
-	// Struct fields marshal in declaration order, so the settings JSON is a
-	// deterministic byte sequence; marshaling Settings cannot fail.
-	sj, _ := json.Marshal(s)
+	sj := settingsJSON(s)
 	p := make([]byte, 0, len("cts-subtree-v1")+8+len(sj))
 	p = append(p, "cts-subtree-v1"...)
 	var buf [8]byte

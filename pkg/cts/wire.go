@@ -65,13 +65,11 @@ func (e Event) Wire() WireEvent {
 // the identical Result for them, which is what makes the key usable as a
 // result-cache address.  Pass effective settings (Settings.Effective, or
 // what a Flow reports in Flow.Settings()), so that a request spelling out
-// the defaults and one leaving them zero hash identically.
+// the defaults and one leaving them zero hash identically.  Settings that
+// Effective rejects as non-finite have no key: CanonicalKey panics on them.
 func CanonicalKey(s Settings, sinks []Sink) string {
 	h := sha256.New()
-	// Struct fields marshal in declaration order, so the settings JSON is a
-	// deterministic byte sequence; marshaling Settings cannot fail.
-	sj, _ := json.Marshal(s)
-	h.Write(sj)
+	h.Write(settingsJSON(s))
 	var buf [8]byte
 	writeF := func(v float64) {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
@@ -91,4 +89,17 @@ func CanonicalKey(s Settings, sinks []Sink) string {
 		writeF(sk.Cap)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// settingsJSON is the settings bytes both cache keys hash.  Struct fields
+// marshal in declaration order, so it is a deterministic byte sequence.
+// json.Marshal fails only on a non-finite float, which Effective rejects, so
+// a failure is a caller keying settings it never validated, and would
+// otherwise give every such request one shared key.
+func settingsJSON(s Settings) []byte {
+	sj, err := json.Marshal(s)
+	if err != nil {
+		panic("cts: cache key over settings that Settings.Effective rejects: " + err.Error())
+	}
+	return sj
 }

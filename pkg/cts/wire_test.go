@@ -3,7 +3,9 @@ package cts_test
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -119,6 +121,18 @@ func TestCanonicalKey(t *testing.T) {
 		}
 		seen[k] = what
 	}
+}
+
+// TestCanonicalKeyPanicsOnUnvalidatedSettings: json.Marshal cannot encode a
+// non-finite setting, and a key that dropped that error would hash no
+// settings bytes at all, so every such request would share one key.
+func TestCanonicalKeyPanicsOnUnvalidatedSettings(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Settings.Effective") {
+			t.Errorf("recovered %v, want a panic naming Settings.Effective", r)
+		}
+	}()
+	cts.CanonicalKey(cts.Settings{Alpha: math.NaN()}, []cts.Sink{{Name: "a"}, {Name: "b", Pos: geom.Pt(10, 0)}})
 }
 
 func TestValidateSinks(t *testing.T) {

@@ -364,6 +364,48 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestInfeasibleSettingsRefused pins two settings no tree should be built
+// from as 400 bad-settings at submit: a grid resolution above
+// cts.Settings.Effective's bound of 240, on a member and on a gateway in
+// front of it, and a slew limit below the technology's 50 ps source slew,
+// which cts.New refuses.  The member's run hook keeps a wrongly accepted job
+// from ever sizing its grid: at R = 10,000 a 4 x 3 mm pair would take
+// gigabytes of expansion state per side.
+func TestInfeasibleSettingsRefused(t *testing.T) {
+	srv, cl := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
+	srv.runHook = func(ctx context.Context, j *job) (*cts.Result, error) {
+		return nil, errors.New("run hook: infeasible settings were accepted")
+	}
+	g, err := NewGateway(GatewayOptions{Members: []string{cl.BaseURL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	gw := httptest.NewServer(g)
+	defer gw.Close()
+
+	sinks := `"sinks":[{"name":"a","x":0,"y":0},{"name":"b","x":4000,"y":3000}]`
+	for _, tc := range []struct {
+		name, settings string
+		bases          []string
+	}{
+		{"grid", `{"gridSize":10000}`, []string{cl.BaseURL, gw.URL}},
+	} {
+		for _, base := range tc.bases {
+			body := `{` + sinks + `,"settings":` + tc.settings + `}`
+			resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if e := decodeAPIError(resp.StatusCode, data); resp.StatusCode != 400 || e.Code != ErrBadSetting {
+				t.Errorf("%s via %s: HTTP %d %s, want 400 %s", tc.name, base, resp.StatusCode, data, ErrBadSetting)
+			}
+		}
+	}
+}
+
 // blockingHook returns a run hook that parks every run until release is
 // closed (or the job is canceled) and records how many runs it served.
 func blockingHook(release <-chan struct{}) (func(context.Context, *job) (*cts.Result, error), *sync.WaitGroup) {

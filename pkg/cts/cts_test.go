@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/clocktree"
 	"repro/internal/geom"
 	"repro/internal/spice"
 	"repro/internal/tech"
@@ -97,6 +98,37 @@ func TestNewValidation(t *testing.T) {
 	// Result JSON and CanonicalKey as an unparsable one.
 	if _, err := cts.New(tt, cts.WithCorrection(7)); err == nil {
 		t.Error("expected error for an unknown correction mode")
+	}
+	// The clock source presents tech.SourceSlew (50 ps here) at the root, so
+	// no tree meets a limit at or below it.
+	for _, limit := range []float64{40, 50} {
+		if _, err := cts.New(tt, cts.WithSlewLimit(limit)); !errors.Is(err, cts.ErrSlewLimit) {
+			t.Errorf("slew limit %v ps: New error %v, want ErrSlewLimit", limit, err)
+		}
+	}
+}
+
+// overTimer is a Timer stub that reports a fixed worst slew.
+type overTimer struct{ worst float64 }
+
+func (o overTimer) Analyze(ctx context.Context, tree *clocktree.Tree) (*clocktree.Timing, error) {
+	return &clocktree.Timing{WorstSlew: o.worst}, nil
+}
+
+// TestRunRefusesTreeOverSlewLimit: a tree whose timed worst slew exceeds the
+// limit is an error wrapping ErrSlewLimit, from Run and RunIncremental alike.
+func TestRunRefusesTreeOverSlewLimit(t *testing.T) {
+	sinks := randomSinks(5, 8, 3000)
+	flow, err := cts.New(tech.Default(), cts.WithTimer(overTimer{worst: 100.5}),
+		cts.WithSubtreeCache(cts.NewMemorySubtreeCache(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := flow.Run(context.Background(), sinks); !errors.Is(err, cts.ErrSlewLimit) {
+		t.Errorf("Run: result %v, error %v; want ErrSlewLimit", res, err)
+	}
+	if res, err := flow.RunIncremental(context.Background(), nil, sinks); !errors.Is(err, cts.ErrSlewLimit) {
+		t.Errorf("RunIncremental: result %v, error %v; want ErrSlewLimit", res, err)
 	}
 }
 

@@ -16,7 +16,8 @@ import (
 // inside each merge's maze expansion, so cancelling it aborts the run
 // promptly with the context's error.  Each level's independent merges are
 // dispatched to a worker pool bounded by WithParallelism; the result is
-// bit-identical to a sequential run.
+// bit-identical to a sequential run.  A tree whose worst slew exceeds the
+// slew limit is an error wrapping ErrSlewLimit, not a result.
 func (f *Flow) Run(ctx context.Context, sinks []Sink) (*Result, error) {
 	return f.run(ctx, "", sinks, false)
 }
@@ -171,6 +172,10 @@ func (f *Flow) run(ctx context.Context, item string, sinks []Sink, incremental b
 	})
 	if err != nil {
 		return nil, err
+	}
+	if timing.WorstSlew > f.cfg.settings.SlewLimit {
+		return nil, fmt.Errorf("%w: worst slew %v ps exceeds the %v ps limit",
+			ErrSlewLimit, timing.WorstSlew, f.cfg.settings.SlewLimit)
 	}
 
 	res.Tree = tree

@@ -223,9 +223,17 @@ func (f *Flow) Parallelism() int {
 	return f.cfg.parallelism
 }
 
+// ErrSlewLimit reports a slew limit that a tree does not meet.  New wraps it
+// when the limit is at or below the technology's source slew, the slew the
+// clock source itself presents, so that no tree can meet it; Run, RunBatch
+// and RunIncremental wrap it when the timed tree's worst slew exceeds the
+// limit.
+var ErrSlewLimit = errors.New("cts: slew limit not met")
+
 // New assembles a Flow for the technology, applying Settings.Effective's
 // defaults to every parameter not set by an option and the analytic library
-// when none is given.
+// when none is given.  It refuses a slew limit at or below the technology's
+// source slew with an error wrapping ErrSlewLimit.
 func New(t *tech.Technology, opts ...Option) (*Flow, error) {
 	if t == nil {
 		return nil, errors.New("cts: nil technology")
@@ -241,6 +249,10 @@ func New(t *tech.Technology, opts ...Option) (*Flow, error) {
 	s, err := c.settings.Effective()
 	if err != nil {
 		return nil, err
+	}
+	if s.SlewLimit <= t.SourceSlew {
+		return nil, fmt.Errorf("%w: a %v ps limit is not above the technology's %v ps source slew",
+			ErrSlewLimit, s.SlewLimit, t.SourceSlew)
 	}
 	c.settings = s
 	if c.library == nil {

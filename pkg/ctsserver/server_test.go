@@ -365,11 +365,12 @@ func TestValidationErrors(t *testing.T) {
 }
 
 // TestInfeasibleSettingsRefused pins two settings no tree should be built
-// from as 400 bad-settings at submit: a grid resolution above
-// cts.Settings.Effective's bound of 240, on a member and on a gateway in
-// front of it, and a slew limit below the technology's 50 ps source slew,
-// which cts.New refuses.  The member's run hook keeps a wrongly accepted job
-// from ever sizing its grid: at R = 10,000 a 4 x 3 mm pair would take
+// from as 400 bad-settings at submit, on a member and on a gateway in front
+// of it: a grid resolution above cts.Settings.Effective's bound of 240
+// (refused by the gateway's own key), and a slew limit below the
+// technology's 50 ps source slew (refused by the member's cts.New, whose
+// 400 the gateway relays).  The member's run hook keeps a wrongly accepted
+// job from ever sizing its grid: at R = 10,000 a 4 x 3 mm pair would take
 // gigabytes of expansion state per side.
 func TestInfeasibleSettingsRefused(t *testing.T) {
 	srv, cl := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
@@ -385,14 +386,9 @@ func TestInfeasibleSettingsRefused(t *testing.T) {
 	defer gw.Close()
 
 	sinks := `"sinks":[{"name":"a","x":0,"y":0},{"name":"b","x":4000,"y":3000}]`
-	for _, tc := range []struct {
-		name, settings string
-		bases          []string
-	}{
-		{"grid", `{"gridSize":10000}`, []string{cl.BaseURL, gw.URL}},
-	} {
-		for _, base := range tc.bases {
-			body := `{` + sinks + `,"settings":` + tc.settings + `}`
+	for _, settings := range []string{`{"gridSize":10000}`, `{"slewLimit":45}`} {
+		for _, base := range []string{cl.BaseURL, gw.URL} {
+			body := `{` + sinks + `,"settings":` + settings + `}`
 			resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
@@ -400,7 +396,7 @@ func TestInfeasibleSettingsRefused(t *testing.T) {
 			data, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
 			if e := decodeAPIError(resp.StatusCode, data); resp.StatusCode != 400 || e.Code != ErrBadSetting {
-				t.Errorf("%s via %s: HTTP %d %s, want 400 %s", tc.name, base, resp.StatusCode, data, ErrBadSetting)
+				t.Errorf("%s via %s: HTTP %d %s, want 400 %s", settings, base, resp.StatusCode, data, ErrBadSetting)
 			}
 		}
 	}

@@ -25,7 +25,7 @@ func TestScope(t *testing.T) {
 			t.Errorf("InScope(%q) = false, want true", path)
 		}
 	}
-	for _, path := range []string{"repro/pkg/ctsserver", "repro/internal/charlib", "repro/cmd/ctsd", "other/pkg/cts"} {
+	for _, path := range []string{"repro/pkg/ctsserver", "repro/internal/obs", "repro/cmd/ctsd", "other/pkg/cts"} {
 		if determinism.InScope(path) {
 			t.Errorf("InScope(%q) = true, want false", path)
 		}

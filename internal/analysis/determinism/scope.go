@@ -15,6 +15,16 @@ package determinism
 // //ctslint:allow directive.  ARCHITECTURE.md's "Static analysis layer"
 // section documents the workflow around this list.
 //
+// The list covers the whole Result path: the engine (topology, spatial,
+// mergeroute, dme, geom, pkg/cts), the timing and library packages that
+// compute every number a Result reports (clocktree, charlib, tech, moments,
+// fit, linalg) and the verify path (circuit, spice, waveform).  Three map
+// ranges there carry allow directives: the min/max reductions of
+// clocktree.Analyze and the key collection that spice sorts before use.
+// Loops whose first failure picks the reported error iterate in a fixed
+// order (clocktree.Verify by node id, spice.Simulate by component number),
+// so even a failing run reports the same error every time.
+//
 // The list is of whole packages, so new files in a scoped package are bound
 // automatically: internal/mergeroute's hierarchical routing path
 // (hierarchical.go), pooled scratch arena (arena.go) and subtree codec
@@ -40,11 +50,20 @@ package determinism
 // (obs.LatencyBuckets) and the bucket-quantile estimator behind
 // StageMetrics.Quantile.
 var ScopedPackages = []string{
+	"repro/internal/charlib",
+	"repro/internal/circuit",
+	"repro/internal/clocktree",
 	"repro/internal/dme",
+	"repro/internal/fit",
 	"repro/internal/geom",
+	"repro/internal/linalg",
 	"repro/internal/mergeroute",
+	"repro/internal/moments",
 	"repro/internal/spatial",
+	"repro/internal/spice",
+	"repro/internal/tech",
 	"repro/internal/topology",
+	"repro/internal/waveform",
 	"repro/pkg/cts",
 }
 

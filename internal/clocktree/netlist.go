@@ -2,7 +2,9 @@ package clocktree
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/spice"
@@ -108,8 +110,10 @@ func Verify(t *Tree, opt spice.Options) (*VerifyResult, error) {
 	// Worst slew over every probed electrical node.  A node that never reaches
 	// the high measurement threshold within the simulation window is a gross
 	// slew violation (it happens for severely under-buffered baseline trees);
-	// record the elapsed window as a lower bound instead of failing.
-	for id, w := range res.Node {
+	// record the elapsed window as a lower bound instead of failing.  Nodes
+	// go in id order, so the error names the same node on every run.
+	for _, id := range slices.Sorted(maps.Keys(res.Node)) {
+		w := res.Node[id]
 		s, err := res.SlewAt(id)
 		if err != nil {
 			if len(w.Times) > 1 {

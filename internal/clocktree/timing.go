@@ -76,6 +76,7 @@ func Analyze(t *Tree, lib *charlib.Library, sourceSlew float64) (*Timing, error)
 	}
 
 	tm.MinLatency = math.Inf(1)
+	//ctslint:allow determinism -- min and max are order-free reductions; no element order escapes
 	for _, d := range tm.SinkDelay {
 		tm.MaxLatency = math.Max(tm.MaxLatency, d)
 		tm.MinLatency = math.Min(tm.MinLatency, d)
@@ -84,6 +85,7 @@ func Analyze(t *Tree, lib *charlib.Library, sourceSlew float64) (*Timing, error)
 		return nil, fmt.Errorf("clocktree: timing analysis reached no sinks")
 	}
 	tm.Skew = tm.MaxLatency - tm.MinLatency
+	//ctslint:allow determinism -- max is an order-free reduction; no element order escapes
 	for _, s := range tm.NodeSlew {
 		tm.WorstSlew = math.Max(tm.WorstSlew, s)
 	}

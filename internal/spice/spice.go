@@ -492,8 +492,8 @@ func solveStage(net *circuit.Netlist, t *tech.Technology, opt Options, st *stage
 
 // components groups the non-ground nodes of the netlist into RC-connected
 // components (connected through resistors only; buffers do not connect their
-// input and output electrically).
-func components(net *circuit.Netlist) (map[int][]circuit.NodeID, map[circuit.NodeID]int, error) {
+// input and output electrically), numbered in order of their lowest node id.
+func components(net *circuit.Netlist) ([][]circuit.NodeID, map[circuit.NodeID]int, error) {
 	adj := make(map[circuit.NodeID][]circuit.NodeID)
 	for _, r := range net.Resistors {
 		if r.Ohms <= 0 {
@@ -532,20 +532,20 @@ func components(net *circuit.Netlist) (map[int][]circuit.NodeID, map[circuit.Nod
 	}
 
 	ids := make([]circuit.NodeID, 0, len(all))
+	//ctslint:allow determinism -- the keys are sorted right below, before anything reads them
 	for id := range all {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
 	compOf := make(map[circuit.NodeID]int, len(ids))
-	comps := make(map[int][]circuit.NodeID)
-	next := 0
+	var comps [][]circuit.NodeID
 	for _, start := range ids {
 		if _, seen := compOf[start]; seen {
 			continue
 		}
-		c := next
-		next++
+		c := len(comps)
+		comps = append(comps, nil)
 		stack := []circuit.NodeID{start}
 		compOf[start] = c
 		for len(stack) > 0 {

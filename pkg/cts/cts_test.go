@@ -43,9 +43,6 @@ func TestOptionDefaulting(t *testing.T) {
 	if s.Correction != cts.CorrectionNone {
 		t.Errorf("default correction = %v, want none", s.Correction)
 	}
-	if flow.Library() == nil {
-		t.Error("default flow has no library (analytic fallback expected)")
-	}
 
 	// The slew target follows a custom limit at the 80% margin.
 	flow, err = cts.New(tt, cts.WithSlewLimit(140))

@@ -341,9 +341,3 @@ func (s Settings) Effective() (Settings, error) {
 
 // Settings returns the effective numeric parameters after defaulting.
 func (f *Flow) Settings() Settings { return f.cfg.settings }
-
-// Library returns the delay/slew library the flow synthesizes with.
-func (f *Flow) Library() *charlib.Library { return f.cfg.library }
-
-// Tech returns the technology the flow is bound to.
-func (f *Flow) Tech() *tech.Technology { return f.cfg.tech }

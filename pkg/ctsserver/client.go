@@ -123,16 +123,6 @@ func (c *Client) Stats(ctx context.Context) (*Stats, error) {
 	return &st, nil
 }
 
-// Health fetches the server health; a draining server answers 503, which
-// comes back as an *APIError alongside the decoded body.
-func (c *Client) Health(ctx context.Context) (*Health, error) {
-	var h Health
-	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &h); err != nil {
-		return nil, err
-	}
-	return &h, nil
-}
-
 // Stream subscribes to a job's event stream and blocks until the job
 // reaches a terminal state, returning the final status from the "done"
 // event.  Every "flow" event is decoded and handed to onEvent (which may be

@@ -544,8 +544,13 @@ func TestDrain(t *testing.T) {
 	} else if ae, ok := err.(*APIError); !ok || ae.HTTPStatus != 503 || ae.Code != ErrDraining {
 		t.Errorf("submission during drain: %v", err)
 	}
-	if _, err := cl.Health(ctx); err == nil {
-		t.Error("healthz during drain answered 200, want 503")
+	hz, err := http.Get(cl.BaseURL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hz.Body.Close()
+	if hz.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("healthz during drain answered %d, want 503", hz.StatusCode)
 	}
 
 	// Releasing the runs lets the drain complete, with both accepted jobs

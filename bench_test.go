@@ -1,6 +1,6 @@
 // Package repro's top-level benchmarks regenerate every table and figure of
-// the paper's evaluation (see DESIGN.md for the experiment index and
-// EXPERIMENTS.md for paper-vs-measured numbers) and add ablation benchmarks
+// the paper's evaluation (internal/eval, the harness behind cmd/experiments;
+// ARCHITECTURE.md places it among the layers) and add ablation benchmarks
 // for the design choices the reproduction calls out.  Benchmarks default to
 // scaled-down sink sets so `go test -bench=.` stays fast; run
 // cmd/experiments for the full-size tables.
@@ -168,8 +168,8 @@ func benchName(n int) string {
 	return "sinks_" + string(rune('0'+n/100)) + string(rune('0'+(n/10)%10)) + string(rune('0'+n%10))
 }
 
-// Ablation benchmarks: each isolates one design choice called out in
-// DESIGN.md.
+// Ablation benchmarks: each isolates one design choice of the engine layer
+// that ARCHITECTURE.md describes.
 
 // BenchmarkAblationGridSize compares the default routing grid resolution with
 // a coarse one (fewer candidate buffer locations per pair).

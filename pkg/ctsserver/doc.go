@@ -41,10 +41,13 @@
 //	              with a Retry-After: 0 header (see Deadlines below)
 //	400           undecodable body, sink-set validation failure (structured
 //	              cts.SinkSetError codes, with the offending sink index),
-//	              rejected settings, an unknown priority, a malformed
-//	              deadline, a sink set over the server's -max-sinks, or a
-//	              baseJob on a server whose subtree cache is disabled
-//	              (code "incremental-disabled")
+//	              rejected settings (code "bad-settings": a slew target
+//	              above the limit, a gridSize above 240, an unknown enum
+//	              token, or a slewLimit at or below the technology's
+//	              source slew, which no tree can meet), an unknown
+//	              priority, a malformed deadline, a sink set over the
+//	              server's -max-sinks, or a baseJob on a server whose
+//	              subtree cache is disabled (code "incremental-disabled")
 //	404           the baseJob id names a job the server does not remember
 //	              (code "unknown-base-job"; never assigned, or dropped by
 //	              retention) — resubmit without baseJob to run cold
@@ -56,7 +59,10 @@
 //
 // 200 with the job's JobStatus, or 404 once retention has forgotten it
 // (terminal jobs stay addressable until the retention bounds evict them).
-// A done job's status carries the full cts.Result JSON in result.
+// A done job's status carries the full cts.Result JSON in result.  A run
+// whose tree misses its slew limit (timed worst slew above slewLimit) is
+// not done but "failed", with the cts.ErrSlewLimit message in error; like
+// every failed job it is never cached.
 //
 // # GET /v1/jobs/{id}/events
 //

@@ -177,13 +177,13 @@ func TestCorrectionGoldens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, corr := range []cts.Correction{cts.CorrectionReEstimate, cts.CorrectionFull} {
+		for _, token := range []string{"reestimate", "full"} {
+			corr, err := cts.ParseCorrection(token)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, routing := range []cts.RoutingStrategy{cts.RoutingFlat, cts.RoutingHierarchical} {
-				token, err := json.Marshal(corr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("%s/%s/%v", name, strings.Trim(string(token), `"`), routing)
+				label := fmt.Sprintf("%s/%s/%v", name, token, routing)
 				t.Run(label, func(t *testing.T) {
 					want := correctionGoldens[label]
 					flow, err := cts.New(tt, cts.WithLibrary(lib),

@@ -15,15 +15,10 @@ package determinism
 // //ctslint:allow directive.  ARCHITECTURE.md's "Static analysis layer"
 // section documents the workflow around this list.
 //
-// The list covers the whole Result path: the engine (topology, spatial,
-// mergeroute, dme, geom, pkg/cts), the timing and library packages that
-// compute every number a Result reports (clocktree, charlib, tech, moments,
-// fit, linalg) and the verify path (circuit, spice, waveform).  Three map
-// ranges there carry allow directives: the min/max reductions of
-// clocktree.Analyze and the key collection that spice sorts before use.
-// Loops whose first failure picks the reported error iterate in a fixed
-// order (clocktree.Verify by node id, spice.Simulate by component number),
-// so even a failing run reports the same error every time.
+// The list covers the whole Result path, timing, library and the verify
+// path (circuit, spice, waveform) included.  Its order-free map ranges carry
+// allow directives, and a loop whose first failure names the reported error
+// iterates in a fixed order, so even a failing run reports the same error.
 //
 // The list is of whole packages, so new files in a scoped package are bound
 // automatically: internal/mergeroute's hierarchical routing path

@@ -89,16 +89,10 @@ func (r *correctionMergeRouter) Merge(ctx context.Context, a, b *mergeroute.Subt
 		{{a1, b2}, {a2, b1}},
 	}
 	// A trial merge re-attaches the grandchild roots it takes (their parent
-	// link and wire length) and changes nothing else; remember those four
-	// attachments so that keeping the original pairing can put them back.
-	type attachment struct {
-		node, parent *clocktree.Node
-		wire         float64
-	}
-	var attached [4]attachment
-	for i, gc := range [4]*mergeroute.Subtree{a1, a2, b1, b2} {
-		attached[i] = attachment{gc.Root, gc.Root.Parent, gc.Root.WireLen}
-	}
+	// link and wire length) and changes nothing else; copy those four roots
+	// so that keeping the original pairing can put their attachments back.
+	grandchildren := [4]*mergeroute.Subtree{a1, a2, b1, b2}
+	saved := [4]clocktree.Node{*a1.Root, *a2.Root, *b1.Root, *b2.Root}
 
 	best := 0
 	switch r.settings.Correction {
@@ -148,8 +142,8 @@ func (r *correctionMergeRouter) Merge(ctx context.Context, a, b *mergeroute.Subt
 	if best == 0 {
 		// Keep the original pairing: put back the grandchild attachments that
 		// trial merges may have overwritten, then merge the existing sub-trees.
-		for _, at := range attached {
-			at.node.Parent, at.node.WireLen = at.parent, at.wire
+		for i, gc := range grandchildren {
+			gc.Root.Parent, gc.Root.WireLen = saved[i].Parent, saved[i].WireLen
 		}
 		merged, err := r.merger.Merge(ctx, a, b)
 		return merged, 0, err

@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/fit"
-	"repro/internal/moments"
 	"repro/internal/spice"
 	"repro/internal/tech"
 )
@@ -330,19 +329,6 @@ func (l *Library) analyticSingle(drive tech.Buffer, loadCap, inputSlew, length f
 	tOut := (cw/2)*m1Out + (cw/2+loadCap)*m1End
 	m2Out := drive.DriveRes * tOut
 	m2End := m2Out + rw*(cw/2+loadCap)*m1End
-	d2m := func(m1, m2 float64) float64 {
-		if m2 <= 0 {
-			return math.Ln2 * m1 * tech.PsPerOhmFF
-		}
-		return math.Ln2 * m1 * m1 / math.Sqrt(m2) * tech.PsPerOhmFF
-	}
-	slewStep := func(m1, m2 float64) float64 {
-		v := 2*m2 - m1*m1
-		if v < 0 {
-			v = 0
-		}
-		return tech.Ln9 * math.Sqrt(v) * tech.PsPerOhmFF
-	}
 	delayOut := d2m(m1Out, m2Out)
 	delayEnd := d2m(m1End, m2End)
 	// The buffer's internal edge rate adds to the step slew of the RC network.
@@ -355,37 +341,150 @@ func (l *Library) analyticSingle(drive tech.Buffer, loadCap, inputSlew, length f
 	})
 }
 
-// analyticBranch computes branch timing from moment analysis of the two-arm
-// RC tree.
-func (l *Library) analyticBranch(drive tech.Buffer, inputSlew, lLeft, lRight, capLeft, capRight float64) BranchTiming {
-	t := l.tech
-	net := circuit.New()
-	root := net.AddNode("root")
-	left := net.AddWire(t, root, lLeft, 100)
-	right := net.AddWire(t, root, lRight, 100)
-	net.AddCap(left, capLeft)
-	net.AddCap(right, capRight)
-	a, err := moments.Analyze(net, root, drive.DriveRes)
-	if err != nil {
-		// The constructed netlist is always a tree, so this cannot happen; keep
-		// a defensive fallback that treats the branch as two single wires.
-		lt := l.analyticSingle(drive, capLeft+t.WireCap(lRight)+capRight, inputSlew, lLeft)
-		rt := l.analyticSingle(drive, capRight+t.WireCap(lLeft)+capLeft, inputSlew, lRight)
-		return BranchTiming{
-			BufferDelay: (lt.BufferDelay + rt.BufferDelay) / 2,
-			LeftDelay:   lt.WireDelay, RightDelay: rt.WireDelay,
-			LeftSlew: lt.OutputSlew, RightSlew: rt.OutputSlew,
-		}
+// d2m is the two-moment (D2M) step delay in ps, moments.Analysis.DelayD2M's
+// expression.
+func d2m(m1, m2 float64) float64 {
+	if m2 <= 0 {
+		return math.Ln2 * m1 * tech.PsPerOhmFF
 	}
+	return math.Ln2 * m1 * m1 / math.Sqrt(m2) * tech.PsPerOhmFF
+}
+
+// slewStep is the 10-90% step slew in ps, moments.Analysis.SlewStep's
+// expression.
+func slewStep(m1, m2 float64) float64 {
+	v := 2*m2 - m1*m1
+	if v < 0 {
+		v = 0
+	}
+	return tech.Ln9 * math.Sqrt(v) * tech.PsPerOhmFF
+}
+
+// analyticBranch computes branch timing from the first two moments of the
+// two-arm RC tree: a root driven through the buffer's DriveRes, and per arm
+// the π-segment ladder circuit.AddWire builds (int(l/100)+1 segments, none
+// when l <= 0) ending in the arm's load.  The moments are computed in closed
+// form with the float additions in exactly the order moments.Analyze makes
+// them on that netlist, so the timing is bit-identical to building it, at no
+// allocation for arms up to branchStackSegs segments.
+//
+// The order: a node's grounded capacitance sums its caps in netlist order —
+// the root (0 + cL/2) + cR/2, then the load of an arm of length <= 0; an
+// interior arm node (0 + c/2) + c/2; an arm end (0 + c/2) + load.  The
+// breadth-first order is root, L1, R1, L2, R2, ..., so the root's downstream
+// sums are ((0 + R1's) + L1's) + its own term, and along an arm a node's sum
+// is its child's plus its own term.  An arm without segments contributes
+// zeros, and adding zero to these sums is exact.
+func (l *Library) analyticBranch(drive tech.Buffer, inputSlew, lLeft, lRight, capLeft, capRight float64) BranchTiming {
+	var stack [2][branchStackSegs]float64
+	left := newBranchArm(l.tech, lLeft, capLeft, stack[0][:])
+	right := newBranchArm(l.tech, lRight, capRight, stack[1][:])
+
+	capRoot := left.half + right.half + left.rootLoad + right.rootLoad
+	m1Root := drive.DriveRes * (right.downCap() + left.downCap() + capRoot)
+	left.firstMoment(m1Root)
+	right.firstMoment(m1Root)
+	m2Root := drive.DriveRes * (right.weighted() + left.weighted() + capRoot*m1Root)
+	m1L, m2L := left.endMoments(m2Root)
+	m1R, m2R := right.endMoments(m2Root)
+
+	rootDelay := d2m(m1Root, m2Root)
 	edge := 1.2 * drive.InternalTau
 	rss := func(a, b float64) float64 { return math.Sqrt(a*a + b*b) }
 	return sanitizeBranch(BranchTiming{
-		BufferDelay: drive.IntrinsicDelay + 0.9*drive.InternalTau + 0.18*inputSlew + a.DelayD2M(root),
-		LeftDelay:   math.Max(a.DelayD2M(left)-a.DelayD2M(root), 0),
-		RightDelay:  math.Max(a.DelayD2M(right)-a.DelayD2M(root), 0),
-		LeftSlew:    rss(a.SlewStep(left), edge),
-		RightSlew:   rss(a.SlewStep(right), edge),
+		BufferDelay: drive.IntrinsicDelay + 0.9*drive.InternalTau + 0.18*inputSlew + rootDelay,
+		LeftDelay:   math.Max(d2m(m1L, m2L)-rootDelay, 0),
+		RightDelay:  math.Max(d2m(m1R, m2R)-rootDelay, 0),
+		LeftSlew:    rss(slewStep(m1L, m2L), edge),
+		RightSlew:   rss(slewStep(m1R, m2R), edge),
 	})
+}
+
+// branchStackSegs is the arm length in π segments (6,399 µm at 100 µm per
+// segment) up to which analyticBranch keeps its per-node values on the
+// stack; longer arms allocate them.
+const branchStackSegs = 64
+
+// branchArm is one arm of the branch RC tree: n π segments of resistance r,
+// each putting half its capacitance on either end, or, with n = 0, only a
+// load at the root.  v holds one value per arm node, nearest the root first:
+// its downstream capacitance, then its first moment, then its weighted
+// capacitance sum, each pass overwriting the one before.
+type branchArm struct {
+	n        int
+	r        float64
+	half     float64 // half a segment's capacitance
+	mid      float64 // an interior node's grounded capacitance
+	end      float64 // the far-end node's grounded capacitance
+	rootLoad float64 // the load, when it sits at the root
+	m1End    float64
+	v        []float64
+}
+
+func newBranchArm(t *tech.Technology, length, load float64, stack []float64) branchArm {
+	n := int(length/100) + 1
+	if length <= 0 || n < 1 {
+		// circuit.AddWire lays no segment: the load sits at the root.
+		return branchArm{rootLoad: load}
+	}
+	seg := length / float64(n)
+	h := t.WireCap(seg) / 2
+	v := stack
+	if n > len(v) {
+		v = make([]float64, n)
+	}
+	return branchArm{n: n, r: t.WireRes(seg), half: h, mid: h + h, end: h + load, v: v[:n]}
+}
+
+// downCap fills v with each node's downstream capacitance, far end first,
+// and returns the first node's.
+func (a *branchArm) downCap() float64 {
+	if a.n == 0 {
+		return 0
+	}
+	d := a.end
+	a.v[a.n-1] = d
+	for i := a.n - 2; i >= 0; i-- {
+		d += a.mid
+		a.v[i] = d
+	}
+	return d
+}
+
+// firstMoment turns v into each node's first moment, from the root's.
+func (a *branchArm) firstMoment(m1Root float64) {
+	m := m1Root
+	for i := range a.v {
+		m += a.r * a.v[i]
+		a.v[i] = m
+	}
+	a.m1End = m
+}
+
+// weighted turns v into each node's weighted capacitance sum (capacitance
+// times first moment, summed downstream), far end first, and returns the
+// first node's.
+func (a *branchArm) weighted() float64 {
+	if a.n == 0 {
+		return 0
+	}
+	w := a.end * a.v[a.n-1]
+	a.v[a.n-1] = w
+	for i := a.n - 2; i >= 0; i-- {
+		w += a.mid * a.v[i]
+		a.v[i] = w
+	}
+	return w
+}
+
+// endMoments returns the first and second moment at the arm's far end (the
+// root, for an arm without segments).
+func (a *branchArm) endMoments(m2Root float64) (m1, m2 float64) {
+	m2 = m2Root
+	for _, w := range a.v {
+		m2 += a.r * w
+	}
+	return a.m1End, m2
 }
 
 // ---------------------------------------------------------------------------

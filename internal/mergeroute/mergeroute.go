@@ -376,13 +376,11 @@ type cellState struct {
 	parent int
 	// placed records that a buffer (placedBuf, an index into the
 	// technology's buffer list) was inserted while entering this cell, at
-	// position placedPos.
+	// position placedPos; baseMin/baseMax are then the delays at its input
+	// pin.
 	placed    bool
 	placedBuf int
 	placedPos geom.Point
-	// placedDownMin/Max are the downstream delays at the placed buffer's
-	// input pin.
-	placedDownMin, placedDownMax float64
 }
 
 // grid describes the routing grid of one merge operation.
@@ -423,13 +421,6 @@ type corridorMask struct {
 	mask   []bool
 	factor int
 	nxc    int
-}
-
-func (c corridorMask) allows(ix, iy int) bool {
-	if c.mask == nil {
-		return true
-	}
-	return c.mask[(iy/c.factor)*c.nxc+ix/c.factor]
 }
 
 // route runs the two maze expansions and returns the reconstructed paths
@@ -555,6 +546,11 @@ func (m *Merger) buildGrid(p, q geom.Point) grid {
 // expansion to corridor cells (the hierarchical refinement pass).  The
 // context is polled every few hundred heap pops — often enough that even a
 // maxed-out grid aborts within microseconds of cancellation.
+//
+// Each pop relaxes its open neighbours once: what a relaxation derives from
+// the popped state alone (the grown segment and its estimate, or the buffer
+// placement) is computed once per pop, and only what depends on the
+// neighbour's position is computed per neighbour.
 func (m *Merger) expand(ctx context.Context, g grid, s *Subtree, states []cellState, sc *scratch, corridor corridorMask) (uint64, error) {
 	refBuf := m.tech.Buffers[len(m.tech.Buffers)/2]
 
@@ -566,11 +562,15 @@ func (m *Merger) expand(ctx context.Context, g grid, s *Subtree, states []cellSt
 	// buffer's delay through the still-open segment.  It is evaluated for
 	// every grid relaxation, so a closed-form estimate is used here; the
 	// binary-search stage re-times the final configuration with the library.
+	// Its constants are read once, and its float operations keep their
+	// order: (IntrinsicDelay + InternalTau) + Ln2*(DriveRes*(cw+L) +
+	// rw*(cw/2+L))*PsPerOhmFF.
+	bufDelay := refBuf.IntrinsicDelay + refBuf.InternalTau
+	driveRes, unitCap, unitRes := refBuf.DriveRes, m.tech.UnitCap, m.tech.UnitRes
 	openDelay := func(loadCap, segLen float64) float64 {
-		cw := m.tech.WireCap(segLen)
-		rw := m.tech.WireRes(segLen)
-		return refBuf.IntrinsicDelay + refBuf.InternalTau +
-			math.Ln2*(refBuf.DriveRes*(cw+loadCap)+rw*(cw/2+loadCap))*tech.PsPerOhmFF
+		cw := unitCap * segLen
+		rw := unitRes * segLen
+		return bufDelay + math.Ln2*(driveRes*(cw+loadCap)+rw*(cw/2+loadCap))*tech.PsPerOhmFF
 	}
 
 	six, siy := g.cellOf(s.Pos())
@@ -587,6 +587,12 @@ func (m *Merger) expand(ctx context.Context, g grid, s *Subtree, states []cellSt
 	seed.est = seed.baseMax + openDelay(seed.loadCap, seed.segLen)
 	states[start] = seed
 
+	nx, ny, cellSize := g.nx, g.ny, g.cellSize
+	mask, factor, nxc := corridor.mask, corridor.factor, corridor.nxc
+	inCorridor := func(ix, iy int) bool {
+		return mask == nil || mask[(iy/factor)*nxc+ix/factor]
+	}
+	var open [4]neighbour
 	pq := &sc.pq
 	pq.reset()
 	pq.push(expandItem{idx: start, est: seed.est})
@@ -607,50 +613,76 @@ func (m *Merger) expand(ctx context.Context, g grid, s *Subtree, states []cellSt
 		// The popped state is read in place: relaxations write only
 		// neighbours, never the popped cell itself.
 		cs := &states[cur.idx]
-		cx, cy := cur.idx%g.nx, cur.idx/g.nx
-		for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
-			nxp, nyp := cx+d[0], cy+d[1]
-			if nxp < 0 || nyp < 0 || nxp >= g.nx || nyp >= g.ny {
-				continue
-			}
-			if !corridor.allows(nxp, nyp) {
-				continue
-			}
-			ni := g.index(nxp, nyp)
-			if visited[ni] == gen {
-				continue
-			}
-			newSeg := cs.segLen + g.cellSize
+		cx, cy := cur.idx%nx, cur.idx/nx
 
-			// Insert buffers at half the maximum drivable spacing (segLimit):
-			// the merge point later slides along the segment between the last
-			// fixed nodes of the two paths, so each individual open segment
-			// must leave room for the combined span to stay drivable.
-			if newSeg > cs.segLimit {
-				next := m.placeBuffer(cs, newSeg, g.center(cx, cy), g.center(nxp, nyp))
-				next.parent = cur.idx
-				next.est = next.baseMax + openDelay(next.loadCap, next.segLen)
-				if states[ni].gen != gen || next.est < states[ni].est {
-					next.gen = gen
-					states[ni] = next
-					pq.push(expandItem{idx: ni, est: next.est})
+		// The open neighbours, in the fixed order +x, −x, +y, −y (the heap's
+		// tie order depends on it): inside the grid and the corridor, and
+		// not yet closed.
+		n := 0
+		if i := cur.idx + 1; cx+1 < nx && visited[i] != gen && inCorridor(cx+1, cy) {
+			open[n] = neighbour{idx: i, x: cx + 1, y: cy}
+			n++
+		}
+		if i := cur.idx - 1; cx > 0 && visited[i] != gen && inCorridor(cx-1, cy) {
+			open[n] = neighbour{idx: i, x: cx - 1, y: cy}
+			n++
+		}
+		if i := cur.idx + nx; cy+1 < ny && visited[i] != gen && inCorridor(cx, cy+1) {
+			open[n] = neighbour{idx: i, x: cx, y: cy + 1}
+			n++
+		}
+		if i := cur.idx - nx; cy > 0 && visited[i] != gen && inCorridor(cx, cy-1) {
+			open[n] = neighbour{idx: i, x: cx, y: cy - 1}
+			n++
+		}
+		if n == 0 {
+			continue
+		}
+		newSeg := cs.segLen + cellSize
+
+		// Insert buffers at half the maximum drivable spacing (segLimit):
+		// the merge point later slides along the segment between the last
+		// fixed nodes of the two paths, so each individual open segment
+		// must leave room for the combined span to stay drivable.
+		if newSeg > cs.segLimit {
+			p := m.placeBuffer(cs, newSeg)
+			curPos := g.center(cx, cy)
+			for _, nb := range open[:n] {
+				nextPos := g.center(nb.x, nb.y)
+				pos := curPos
+				if p.atFrontier {
+					pos = nextPos
 				}
-			} else {
-				// The open segment grows; the neighbour's state is written
-				// only when this relaxation improves it, field by field (the
-				// placement fields are read only while placed is set).
-				est := cs.baseMax + openDelay(cs.loadCap, newSeg)
-				if ns := &states[ni]; ns.gen != gen || est < ns.est {
-					ns.gen = gen
-					ns.est = est
-					ns.baseMin, ns.baseMax = cs.baseMin, cs.baseMax
-					ns.segLen = newSeg
-					ns.loadCap = cs.loadCap
-					ns.segLimit = cs.segLimit
-					ns.parent = cur.idx
-					ns.placed = false
-					pq.push(expandItem{idx: ni, est: est})
+				segLen := pos.Manhattan(nextPos)
+				est := p.baseMax + openDelay(p.loadCap, segLen)
+				if ns := &states[nb.idx]; ns.gen != gen || est < ns.est {
+					*ns = cellState{
+						gen: gen, est: est,
+						baseMin: p.baseMin, baseMax: p.baseMax,
+						segLen: segLen, loadCap: p.loadCap, segLimit: p.segLimit,
+						parent: cur.idx,
+						placed: true, placedBuf: p.buf, placedPos: pos,
+					}
+					pq.push(expandItem{idx: nb.idx, est: est})
 				}
+			}
+			continue
+		}
+		// The open segment grows; a neighbour's state is written only when
+		// this relaxation improves it, field by field (the placement fields
+		// are read only while placed is set).
+		est := cs.baseMax + openDelay(cs.loadCap, newSeg)
+		for _, nb := range open[:n] {
+			if ns := &states[nb.idx]; ns.gen != gen || est < ns.est {
+				ns.gen = gen
+				ns.est = est
+				ns.baseMin, ns.baseMax = cs.baseMin, cs.baseMax
+				ns.segLen = newSeg
+				ns.loadCap = cs.loadCap
+				ns.segLimit = cs.segLimit
+				ns.parent = cur.idx
+				ns.placed = false
+				pq.push(expandItem{idx: nb.idx, est: est})
 			}
 		}
 	}
@@ -658,72 +690,79 @@ func (m *Merger) expand(ctx context.Context, g grid, s *Subtree, states []cellSt
 	return gen, nil
 }
 
-// placeBuffer returns the state of a relaxation from cs whose grown open
-// segment (newSeg) no buffer can drive: a buffer is inserted using the
-// intelligent sizing rule, evaluating both the previous cell (curPos, the
-// shorter segment) and the current frontier (nextPos).  The caller sets
-// parent, est and gen.
-func (m *Merger) placeBuffer(cs *cellState, newSeg float64, curPos, nextPos geom.Point) cellState {
-	bi, pos, segUsed, ok := m.chooseBuffer(cs.loadCap, cs.segLen, newSeg, curPos, nextPos)
+// neighbour is one open neighbour of a popped cell: its index and grid
+// coordinates.
+type neighbour struct {
+	idx, x, y int
+}
+
+// placement is the buffer insertion of a relaxation whose grown open segment
+// no buffer can drive.  It depends on the popped state alone, so expand
+// decides it once per pop; the neighbour only fixes where the buffer sits
+// (atFrontier: at the neighbour's centre, else at the popped cell's).
+type placement struct {
+	buf               int // index into the technology's buffer list
+	atFrontier        bool
+	baseMin, baseMax  float64 // delays at the buffer's input pin
+	loadCap, segLimit float64 // the buffer's input cap and half its drivable length
+}
+
+// placeBuffer decides the placement using the intelligent sizing rule,
+// evaluating both the popped cell (the old, shorter segment) and the
+// frontier (newSeg).
+func (m *Merger) placeBuffer(cs *cellState, newSeg float64) placement {
+	bi, atFrontier, ok := m.chooseBuffer(cs.loadCap, cs.segLen, newSeg)
 	if !ok {
 		// Even the previous cell cannot be driven; this indicates a
 		// degenerate configuration (extremely large load).  Place the
 		// largest buffer at the previous cell regardless.
-		bi, pos, segUsed = len(m.tech.Buffers)-1, curPos, cs.segLen
+		bi, atFrontier = len(m.tech.Buffers)-1, false
+	}
+	segUsed := cs.segLen
+	if atFrontier {
+		segUsed = newSeg
 	}
 	buf := &m.tech.Buffers[bi]
-	segTiming := m.cfg.Lib.SingleWire(*buf, cs.loadCap, m.cfg.SlewTarget, math.Max(segUsed, 1))
-	next := *cs
-	next.placed = true
-	next.placedBuf = bi
-	next.placedPos = pos
-	next.placedDownMin = cs.baseMin + segTiming.Total()
-	next.placedDownMax = cs.baseMax + segTiming.Total()
-	next.baseMin = next.placedDownMin
-	next.baseMax = next.placedDownMax
-	next.loadCap = buf.InputCap
-	next.segLimit = 0.5 * m.maxDrivableLen(buf.InputCap)
-	next.segLen = pos.Manhattan(nextPos)
-	return next
+	segDelay := m.cfg.Lib.SingleWire(*buf, cs.loadCap, m.cfg.SlewTarget, math.Max(segUsed, 1)).Total()
+	return placement{
+		buf:        bi,
+		atFrontier: atFrontier,
+		baseMin:    cs.baseMin + segDelay,
+		baseMax:    cs.baseMax + segDelay,
+		loadCap:    buf.InputCap,
+		segLimit:   0.5 * m.maxDrivableLen(buf.InputCap),
+	}
 }
 
 // chooseBuffer implements the intelligent buffer sizing of Section 4.2.2: all
 // buffer types are evaluated at the frontier cell (segment newSeg) and at the
-// previous cell (segment oldSeg); the placement whose far-end slew is closest
-// to the target without exceeding it wins.  The buffer is returned as its
-// index in the technology's buffer list.
-func (m *Merger) chooseBuffer(loadCap, oldSeg, newSeg float64, prevPos, frontierPos geom.Point) (int, geom.Point, float64, bool) {
+// previous cell (segment oldSeg), in that order per buffer; the placement
+// whose far-end slew is closest to the target without exceeding it wins.  It
+// returns the buffer's index in the technology's buffer list and whether it
+// sits at the frontier.
+func (m *Merger) chooseBuffer(loadCap, oldSeg, newSeg float64) (bi int, atFrontier, ok bool) {
 	lib := m.cfg.Lib
 	target := m.cfg.SlewTarget
-	type cand struct {
-		buf int
-		pos geom.Point
-		seg float64
-	}
-	var best cand
 	bestSlack := math.Inf(1)
-	found := false
-	for bi, buf := range m.tech.Buffers {
-		for _, c := range []cand{
-			{buf: bi, pos: frontierPos, seg: newSeg},
-			{buf: bi, pos: prevPos, seg: oldSeg},
-		} {
-			if c.seg < 1 {
-				c.seg = 1
+	for i, buf := range m.tech.Buffers {
+		for _, frontier := range [2]bool{true, false} {
+			s := oldSeg
+			if frontier {
+				s = newSeg
 			}
-			s := lib.SingleWire(buf, loadCap, target, c.seg).OutputSlew
-			if s > target {
+			if s < 1 {
+				s = 1
+			}
+			slew := lib.SingleWire(buf, loadCap, target, s).OutputSlew
+			if slew > target {
 				continue
 			}
-			if slack := target - s; slack < bestSlack {
-				best, bestSlack, found = c, slack, true
+			if slack := target - slew; slack < bestSlack {
+				bi, atFrontier, bestSlack, ok = i, frontier, slack, true
 			}
 		}
 	}
-	if !found {
-		return 0, geom.Point{}, 0, false
-	}
-	return best.buf, best.pos, best.seg, true
+	return bi, atFrontier, ok
 }
 
 // reconstruct walks the parent pointers from the merge cell back to the seed
@@ -742,8 +781,8 @@ func (m *Merger) reconstruct(states []cellState, mergeIdx int, root pathNode, ds
 				pos:     st.placedPos,
 				buffer:  &buf,
 				loadCap: buf.InputCap,
-				downMin: st.placedDownMin,
-				downMax: st.placedDownMax,
+				downMin: st.baseMin,
+				downMax: st.baseMax,
 			})
 		}
 		if st.parent < 0 {

@@ -392,7 +392,6 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &APIError{HTTPStatus: http.StatusInternalServerError, Code: ErrBadRequest, Message: err.Error()})
 		return
 	}
-	g.register(j)
 
 	var st *JobStatus
 	var code int
@@ -408,6 +407,8 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, apiErr)
 		return
 	}
+	// Only an accepted job takes a retention slot.
+	g.register(j)
 	g.submitted.Add(1)
 	member, _ := j.placement()
 	w.Header().Set(HeaderMember, member)

@@ -371,7 +371,8 @@ func TestValidationErrors(t *testing.T) {
 // technology's 50 ps source slew (refused by the member's cts.New, whose
 // 400 the gateway relays).  The member's run hook keeps a wrongly accepted
 // job from ever sizing its grid: at R = 10,000 a 4 x 3 mm pair would take
-// gigabytes of expansion state per side.
+// gigabytes of expansion state per side.  Refused submits must leave the
+// gateway's job table empty.
 func TestInfeasibleSettingsRefused(t *testing.T) {
 	srv, cl := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
 	srv.runHook = func(ctx context.Context, j *job) (*cts.Result, error) {
@@ -399,6 +400,26 @@ func TestInfeasibleSettingsRefused(t *testing.T) {
 				t.Errorf("%s via %s: HTTP %d %s, want 400 %s", settings, base, resp.StatusCode, data, ErrBadSetting)
 			}
 		}
+	}
+
+	// A submit every member refuses takes no slot in the gateway's
+	// retention table: its id never reaches a client.
+	for i := 0; i < 3; i++ {
+		body := `{` + sinks + `,"settings":{"slewLimit":45}}`
+		resp, err := http.Post(gw.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 400 {
+			t.Fatalf("slewLimit 45 via the gateway: HTTP %d, want 400", resp.StatusCode)
+		}
+	}
+	g.mu.Lock()
+	jobs, order := len(g.jobs), len(g.order)
+	g.mu.Unlock()
+	if jobs != 0 || order != 0 {
+		t.Errorf("gateway retains %d jobs and %d ids after refused submits, want none", jobs, order)
 	}
 }
 

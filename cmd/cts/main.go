@@ -36,6 +36,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -56,10 +57,20 @@ func main() {
 			return
 		}
 		if !errors.Is(err, errFlagParse) {
-			fmt.Fprintf(os.Stderr, "cts: %v\n", err)
+			fmt.Fprintln(os.Stderr, errorLine(err))
 		}
 		os.Exit(1)
 	}
+}
+
+// errorLine is the line main prints for a failed run: the error with one
+// "cts: " prefix, which pkg/cts errors already carry.
+func errorLine(err error) string {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "cts: ") {
+		msg = "cts: " + msg
+	}
+	return msg
 }
 
 // errFlagParse marks flag-parse failures the FlagSet has already reported

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/charlib"
 	"repro/internal/tech"
+	"repro/pkg/cts"
 	"repro/pkg/ctsserver"
 )
 
@@ -129,6 +131,28 @@ func TestRunBadInputs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestErrorLinePrefixesOnce pins the one "cts: " prefix of main's error
+// line, for a pkg/cts error that already carries it and for a local one.
+func TestErrorLinePrefixesOnce(t *testing.T) {
+	tt := tech.Default()
+	_, libErr := cts.New(tt, cts.WithLibrary(charlib.NewAnalytic(tt)), cts.WithSlewLimit(45))
+	localErr := run(context.Background(), []string{"-bench", "r1", "-correction", "sideways"}, io.Discard, io.Discard)
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{libErr, "cts: slew limit not met: "},
+		{localErr, "cts: unknown correction mode "},
+	} {
+		if tc.err == nil {
+			t.Fatalf("no error to print for %q", tc.want)
+		}
+		if got := errorLine(tc.err); !strings.HasPrefix(got, tc.want) {
+			t.Errorf("errorLine(%q) = %q, want prefix %q", tc.err, got, tc.want)
+		}
 	}
 }
 

@@ -26,7 +26,7 @@ package determinism
 // (codec.go) are covered by the mergeroute entry, and pkg/cts's
 // RoutingStrategy plumbing plus the incremental-synthesis files
 // (incremental.go, subtreekey.go, subtreecache.go) by the pkg/cts entry.
-// The incremental path leans on this contract twice over: SubtreeKey
+// The incremental path leans on this contract twice over: subtree-key
 // content addressing assumes a merge is a pure function of its inputs, and
 // RunIncremental's bit-identity guarantee (delta result == from-scratch
 // result) only holds if replaying the level loop against cached sub-trees

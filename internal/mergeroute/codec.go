@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/clocktree"
@@ -24,31 +25,37 @@ import (
 // Layout (all integers are uvarints, all floats are little-endian
 // float64 bits):
 //
-//	magic "stc1"
+//	magic "stc2"
 //	flips                      — H-structure flips accumulated in the subtree's
 //	                             top merge (0 or 1 for the default router)
 //	nodeCount
 //	nodeCount × node records, preorder from the sub-tree root:
 //	    nameLen, name, kind, posX, posY, sinkCap, wireLen,
-//	    bufferFlag [nameLen, name, size, inputCap, driveRes,
-//	                intrinsicDelay, internalTau],
+//	    bufferFlag (0 or 1) [nameLen, name, size, inputCap, driveRes,
+//	                         intrinsicDelay, internalTau],
 //	    childCount, childCount × child preorder index
 //	subtree skeleton, recursively:
-//	    rootIndex, minDelay, maxDelay, loadCap, level, flipped, childMask,
+//	    rootIndex, minDelay, maxDelay, loadCap, childMask (bit i: child i),
 //	    [child 0 skeleton], [child 1 skeleton]
 //	checksum                   — first 8 bytes of sha256 over everything above
+//
+// Version 1 ("stc1") also carried each skeleton entry's topology level and
+// correction flag, which nothing reads.  The subtree keys changed with the
+// format, so a cache never holds a version 1 value under a current key.
 //
 // The trailing checksum is what makes a cache value trustworthy: structural
 // validation alone cannot tell a flipped coordinate bit from a real one, and
 // a silently wrong sub-tree would break the delta path's bit-identity
 // contract.  Any corruption therefore fails DecodeSubtree, which the flow
-// treats as a miss.
+// treats as a miss.  The structural checks hold a value that carries a good
+// checksum, such as one a cluster peer sends, to exactly what the encoder
+// writes.
 //
 // The root node's WireLen is normalized to zero on encode: WireLen is the
 // wire from the node's parent, which a detached (cacheable) sub-tree does
-// not have, and normalizing it lets a sub-tree harvested from an attached
-// base tree hash and encode identically to one captured at merge time.
-var codecMagic = [4]byte{'s', 't', 'c', '1'}
+// not have, so a root encodes the same whether or not it has since been
+// attached.
+var codecMagic = [4]byte{'s', 't', 'c', '2'}
 
 // encodeBufs recycles EncodeSubtree's working buffers.  A value is built in
 // one and copied out at its exact length: caches keep every value they hold
@@ -129,12 +136,6 @@ func appendSkeleton(buf []byte, s *Subtree, index map[*clocktree.Node]int) []byt
 	buf = appendFloat(buf, s.MinDelay)
 	buf = appendFloat(buf, s.MaxDelay)
 	buf = appendFloat(buf, s.LoadCap)
-	buf = binary.AppendUvarint(buf, uint64(s.Level))
-	if s.Flipped {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
 	var mask byte
 	if s.Children[0] != nil {
 		mask |= 1
@@ -163,10 +164,12 @@ func appendFloat(buf []byte, v float64) []byte {
 }
 
 // DecodeSubtree reconstructs a sub-tree and its flip count from an encoded
-// cache value.  Every structural claim of the encoding is validated — child
-// indices in preorder range, single-parent linkage, skeleton indices in
-// bounds — so a corrupt or truncated value returns an error (a cache miss
-// for the caller) rather than a malformed tree.
+// cache value.  It accepts only what EncodeSubtree writes — nodes in
+// preorder with their child indices, minimal uvarints, 0/1 flags, a root
+// without a parent wire, and each skeleton child over a node strictly
+// inside its parent entry's sub-tree, disjoint from its sibling's — so a
+// corrupt or truncated value returns an error (a cache miss for the caller)
+// rather than a malformed tree.
 func DecodeSubtree(data []byte) (*Subtree, int, error) {
 	if len(data) < codecChecksumLen {
 		return nil, 0, errors.New("mergeroute: subtree codec: truncated value")
@@ -177,9 +180,7 @@ func DecodeSubtree(data []byte) (*Subtree, int, error) {
 		return nil, 0, errors.New("mergeroute: subtree codec: checksum mismatch")
 	}
 	d := &decoder{data: body}
-	var magic [4]byte
-	copy(magic[:], d.bytes(4))
-	if magic != codecMagic {
+	if !bytes.Equal(d.bytes(4), codecMagic[:]) {
 		return nil, 0, errors.New("mergeroute: subtree codec: bad magic")
 	}
 	flips := int(d.uvarint())
@@ -194,7 +195,22 @@ func DecodeSubtree(data []byte) (*Subtree, int, error) {
 	for i := range nodes {
 		nodes[i] = &clocktree.Node{}
 	}
+	// pending holds the child indices the preorder walk has still to
+	// reach, the next one last, so each node must be the one its position
+	// promises: no node is orphaned, aliased or its own ancestor.  end[i]
+	// is one past the last index of node i's sub-tree, the next index
+	// pending below node i's children.
+	pending := []int{0}
+	end := make([]int, count)
 	for i := 0; i < count && d.err == nil; i++ {
+		if len(pending) == 0 || pending[len(pending)-1] != i {
+			return nil, 0, fmt.Errorf("mergeroute: subtree codec: node %d is out of preorder", i)
+		}
+		pending = pending[:len(pending)-1]
+		end[i] = count
+		if len(pending) > 0 {
+			end[i] = pending[len(pending)-1]
+		}
 		n := nodes[i]
 		n.Name = d.string()
 		n.Kind = clocktree.Kind(d.uvarint())
@@ -202,7 +218,12 @@ func DecodeSubtree(data []byte) (*Subtree, int, error) {
 		n.Pos.Y = d.float()
 		n.SinkCap = d.float()
 		n.WireLen = d.float()
-		if d.byte() == 1 {
+		if i == 0 && math.Float64bits(n.WireLen) != 0 {
+			return nil, 0, errors.New("mergeroute: subtree codec: root has a parent wire")
+		}
+		switch d.byte() {
+		case 0:
+		case 1:
 			b := &tech.Buffer{}
 			b.Name = d.string()
 			b.Size = d.float()
@@ -211,76 +232,81 @@ func DecodeSubtree(data []byte) (*Subtree, int, error) {
 			b.IntrinsicDelay = d.float()
 			b.InternalTau = d.float()
 			n.Buffer = b
+		default:
+			return nil, 0, fmt.Errorf("mergeroute: subtree codec: node %d has a bad buffer flag", i)
 		}
-		nc := int(d.uvarint())
+		nc := d.uvarint()
 		if d.err != nil {
 			break
 		}
-		if nc > count-i-1 {
+		if nc > uint64(count-i-1) {
 			return nil, 0, fmt.Errorf("mergeroute: subtree codec: node %d claims %d children", i, nc)
 		}
-		for c := 0; c < nc; c++ {
-			ci := int(d.uvarint())
+		first := len(pending)
+		for c := uint64(0); c < nc; c++ {
+			ci := d.uvarint()
 			if d.err != nil {
 				break
 			}
-			// Preorder guarantees children follow their parent; anything
-			// else would alias nodes or form a cycle.
-			if ci <= i || ci >= count {
+			if ci <= uint64(i) || ci >= uint64(count) {
 				return nil, 0, fmt.Errorf("mergeroute: subtree codec: node %d child index %d out of preorder range", i, ci)
-			}
-			if nodes[ci].Parent != nil {
-				return nil, 0, fmt.Errorf("mergeroute: subtree codec: node %d claimed by two parents", ci)
 			}
 			nodes[ci].Parent = n
 			n.Children = append(n.Children, nodes[ci])
+			pending = append(pending, int(ci))
 		}
-	}
-	s, err := decodeSkeleton(d, nodes)
-	if err != nil {
-		return nil, 0, err
+		slices.Reverse(pending[first:])
 	}
 	if d.err != nil {
 		return nil, 0, d.err
 	}
+	if len(pending) != 0 {
+		return nil, 0, fmt.Errorf("mergeroute: subtree codec: node %d is claimed but not in preorder", pending[len(pending)-1])
+	}
+	s, _, err := decodeSkeleton(d, nodes, end, 0, 1)
+	if err != nil {
+		return nil, 0, err
+	}
 	if d.off != len(body) {
 		return nil, 0, fmt.Errorf("mergeroute: subtree codec: %d trailing bytes", len(body)-d.off)
-	}
-	if s.Root != nodes[0] {
-		return nil, 0, errors.New("mergeroute: subtree codec: skeleton root is not the preorder root")
 	}
 	return s, flips, nil
 }
 
-func decodeSkeleton(d *decoder, nodes []*clocktree.Node) (*Subtree, error) {
-	ri := int(d.uvarint())
+// decodeSkeleton reads one skeleton entry, whose root must be a node in
+// [lo, hi), and returns it with its root's index.
+func decodeSkeleton(d *decoder, nodes []*clocktree.Node, end []int, lo, hi int) (*Subtree, int, error) {
+	ri := d.uvarint()
 	if d.err != nil {
-		return nil, d.err
+		return nil, 0, d.err
 	}
-	if ri < 0 || ri >= len(nodes) {
-		return nil, fmt.Errorf("mergeroute: subtree codec: skeleton root index %d out of range", ri)
+	if ri < uint64(lo) || ri >= uint64(hi) {
+		return nil, 0, fmt.Errorf("mergeroute: subtree codec: skeleton root index %d outside [%d, %d)", ri, lo, hi)
 	}
-	s := &Subtree{Root: nodes[ri]}
-	s.MinDelay = d.float()
-	s.MaxDelay = d.float()
-	s.LoadCap = d.float()
-	s.Level = int(d.uvarint())
-	s.Flipped = d.byte() == 1
+	r := int(ri)
+	s := &Subtree{Root: nodes[r], MinDelay: d.float(), MaxDelay: d.float(), LoadCap: d.float()}
 	mask := d.byte()
 	if d.err != nil {
-		return nil, d.err
+		return nil, 0, d.err
 	}
+	if mask > 3 {
+		return nil, 0, fmt.Errorf("mergeroute: subtree codec: skeleton child mask %#x", mask)
+	}
+	var kids [2]int
 	for i := 0; i < 2; i++ {
 		if mask&(1<<i) == 0 {
 			continue
 		}
-		c, err := decodeSkeleton(d, nodes)
+		c, ci, err := decodeSkeleton(d, nodes, end, r+1, end[r])
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		s.Children[i] = c
+		s.Children[i], kids[i] = c, ci
 	}
-	return s, nil
+	if a, b := kids[0], kids[1]; mask == 3 && a < end[b] && b < end[a] {
+		return nil, 0, fmt.Errorf("mergeroute: subtree codec: skeleton children %d and %d overlap", a, b)
+	}
+	return s, r, nil
 }
 
 // decoder is a bounds-checked cursor over an encoded value; the first
@@ -322,6 +348,11 @@ func (d *decoder) uvarint() uint64 {
 	v, n := binary.Uvarint(d.data[d.off:])
 	if n <= 0 {
 		d.fail()
+		return 0
+	}
+	if n > 1 && d.data[d.off+n-1] == 0 {
+		// A zero last byte only pads the value; the encoder never writes one.
+		d.err = errors.New("mergeroute: subtree codec: padded uvarint")
 		return 0
 	}
 	d.off += n

@@ -52,15 +52,9 @@ type Subtree struct {
 	MinDelay, MaxDelay float64
 	// LoadCap is the capacitance seen at the root's input in fF.
 	LoadCap float64
-	// Level is the topology level at which the sub-tree was created (sinks
-	// are level 0).
-	Level int
 	// Children are the two sub-trees that were merged to create this one
 	// (nil for sinks).
 	Children [2]*Subtree
-	// Flipped records whether H-structure correction changed this sub-tree's
-	// pairing (used for the Table 5.3 statistics).
-	Flipped bool
 }
 
 // Skew returns the internal skew of the sub-tree.
@@ -244,7 +238,6 @@ func (m *Merger) Merge(ctx context.Context, a, b *Subtree) (*Subtree, error) {
 		return nil, err
 	}
 	merged.Children = [2]*Subtree{a, b}
-	merged.Level = maxInt(a.Level, b.Level) + 1
 	return merged, nil
 }
 
@@ -930,13 +923,6 @@ func clampInt(x, lo, hi int) int {
 		return hi
 	}
 	return x
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func minFloat(a, b float64) float64 {

@@ -54,7 +54,7 @@ func TestMergeTwoSinksBalances(t *testing.T) {
 	if buffers < 2 {
 		t.Errorf("expected aggressive buffer insertion along a 3 mm span, got %d buffers", buffers)
 	}
-	if merged.Level != 1 || merged.Children[0] != a || merged.Children[1] != b {
+	if merged.Children[0] != a || merged.Children[1] != b {
 		t.Error("merged sub-tree bookkeeping wrong")
 	}
 }
@@ -380,7 +380,7 @@ func TestSinkSubtreeFields(t *testing.T) {
 	if s.Root.Kind != clocktree.KindSink || s.Root.SinkCap != 17 || s.LoadCap != 17 {
 		t.Errorf("sink sub-tree wrong: %+v", s)
 	}
-	if s.Skew() != 0 || s.Level != 0 {
-		t.Error("fresh sink sub-tree must have zero skew and level")
+	if s.Skew() != 0 {
+		t.Error("fresh sink sub-tree must have zero skew")
 	}
 }

@@ -25,7 +25,7 @@ func (f *Flow) Run(ctx context.Context, sinks []Sink) (*Result, error) {
 // run is the shared implementation behind Run, RunBatch and RunIncremental;
 // item names the batch item in emitted events.  When incremental is set (and
 // a subtree cache is configured) every merge first consults the cache by its
-// SubtreeKey; otherwise the cache, when present, is only written through.
+// key; otherwise the cache, when present, is only written through.
 func (f *Flow) run(ctx context.Context, item string, sinks []Sink, incremental bool) (res *Result, err error) {
 	//ctslint:allow determinism -- elapsed-time metadata only; feeds Event.Elapsed and Result.Timing, never geometry
 	start := time.Now()
@@ -55,7 +55,12 @@ func (f *Flow) run(ctx context.Context, item string, sinks []Sink, incremental b
 	// Level 0: every sink is its own sub-tree.  ValidateSinks has already
 	// rejected duplicate names (including clashes with the sink_<n> defaults
 	// generated here), so the names are unique.  With a subtree cache
-	// configured, each record also carries its Merkle key and sink subset.
+	// configured, each record also carries its leaf key, and the result the
+	// effective sink.
+	res = &Result{Settings: f.cfg.settings}
+	if incremental {
+		res.Incremental = &IncrementalStats{}
+	}
 	cache := f.cfg.subtreeCache
 	current := make([]levelNode, len(sinks))
 	for i, s := range sinks {
@@ -67,13 +72,9 @@ func (f *Flow) run(ctx context.Context, item string, sinks []Sink, incremental b
 		}
 		current[i].st = mergeroute.SinkSubtree(s.Name, s.Pos, s.Cap)
 		if cache != nil {
-			current[i].key, current[i].sinks = f.leafKey(s)
+			current[i].key = leafKey(f.subtreePrefix, s)
+			res.effSinks = append(res.effSinks, s)
 		}
-	}
-
-	res = &Result{Settings: f.cfg.settings}
-	if incremental {
-		res.Incremental = &IncrementalStats{}
 	}
 
 	// Levelized topology generation (Section 4.1.1): pair, then merge-route
@@ -129,7 +130,7 @@ func (f *Flow) run(ctx context.Context, item string, sinks []Sink, incremental b
 				return nil, fmt.Errorf("cts: topology level %d: sub-tree %d left unmatched", level, i)
 			}
 		}
-		merged, levelFlips, levelReused, err := f.mergeLevel(ctx, merger, current, pairs, res.Incremental)
+		merged, levelFlips, levelReused, err := f.mergeLevel(ctx, merger, current, pairs, res)
 		if err != nil {
 			return nil, err
 		}
@@ -150,12 +151,6 @@ func (f *Flow) run(ctx context.Context, item string, sinks []Sink, incremental b
 	}
 
 	root := current[0]
-	if cache != nil {
-		// Retain the synthesis-time view so this result can serve as the
-		// base of a later RunIncremental (which harvests its sub-trees into
-		// a cold cache and diffs its effective sink set).
-		res.rootSubtree, res.effSinks = root.st, root.sinks
-	}
 
 	// Attach the clock source (with a buffered feed when it sits away from
 	// the tree root).
@@ -196,39 +191,40 @@ func (f *Flow) run(ctx context.Context, item string, sinks []Sink, incremental b
 }
 
 // levelNode is one sub-tree of the level loop.  With a subtree cache it
-// also carries its Merkle key and the effective sink subset it covers, in
-// sinkLess order, so a merge keys its subset with an O(m) sorted merge.
+// also carries its key: a leaf's from its sink, a merge's from its two
+// inputs' keys (subtreekey.go).
 type levelNode struct {
-	st    *mergeroute.Subtree
-	key   string
-	sinks []Sink
+	st  *mergeroute.Subtree
+	key string
 }
 
 // mergeLevel merge-routes every pair of one level and returns the merged
 // records in pair order, the level's flip count and how many pairs the
 // subtree cache served.  With a cache every pair is keyed, and on a
-// RunIncremental run (stats non-nil) a pair the cache holds is decoded
-// instead of routed.  The level's merges are independent (Section 4.1.1
-// pairs disjoint sub-trees), so the rest go to a worker pool bounded by the
-// flow's parallelism, each into its pair's slot, read after every worker has
-// joined: the level is bit-identical to the sequential path at any width.
-// Routed merges are then written through, in pair order.
-func (f *Flow) mergeLevel(ctx context.Context, merger MergeRouter, current []levelNode, pairs []Pairing, stats *IncrementalStats) ([]levelNode, int, int, error) {
-	cache := f.cfg.subtreeCache
+// RunIncremental run (res.Incremental non-nil) a pair the cache holds is
+// decoded instead of routed.  The level's merges are independent (Section
+// 4.1.1 pairs disjoint sub-trees), so the rest go to a worker pool bounded
+// by the flow's parallelism, each into its pair's slot, read after every
+// worker has joined: the level is bit-identical to the sequential path at
+// any width.  Routed merges are then written through, in pair order, and
+// every keyed pair is recorded on res for a later harvest.
+func (f *Flow) mergeLevel(ctx context.Context, merger MergeRouter, current []levelNode, pairs []Pairing, res *Result) ([]levelNode, int, int, error) {
+	cache, stats := f.cfg.subtreeCache, res.Incremental
 	merged := make([]levelNode, len(pairs))
 	flips := make([]int, len(pairs))
+	values := make([][]byte, len(pairs))
 	route := make([]int, 0, len(pairs)) // the pairs to merge-route
 	for i, p := range pairs {
 		if cache != nil {
 			if err := ctx.Err(); err != nil {
 				return nil, 0, 0, err
 			}
-			merged[i].key, merged[i].sinks = f.mergeKey(current[p.A], current[p.B])
+			merged[i].key = mergeKey(f.subtreePrefix, current[p.A].key, current[p.B].key)
 		}
 		if stats != nil {
 			if value, ok := cache.Get(merged[i].key); ok {
 				if st, fl, err := mergeroute.DecodeSubtree(value); err == nil {
-					merged[i].st, flips[i] = st, fl
+					merged[i].st, flips[i], values[i] = st, fl, value
 					continue
 				}
 				// An undecodable value is just a miss: the merge below
@@ -314,7 +310,11 @@ func (f *Flow) mergeLevel(ctx context.Context, merger MergeRouter, current []lev
 	}
 	if cache != nil {
 		for _, i := range route {
-			cache.Put(merged[i].key, mergeroute.EncodeSubtree(merged[i].st, flips[i]))
+			values[i] = mergeroute.EncodeSubtree(merged[i].st, flips[i])
+			cache.Put(merged[i].key, values[i])
+		}
+		for i, v := range values {
+			res.subtrees = append(res.subtrees, keyedSubtree{merged[i].key, v})
 		}
 	}
 	reused := len(pairs) - len(route)

@@ -5,16 +5,14 @@ import (
 	"errors"
 	"math"
 	"sort"
-
-	"repro/internal/mergeroute"
 )
 
 // This file is the incremental (ECO-style) re-synthesis path.  The levelized
 // bottom-up flow makes incrementality a cache problem rather than a patching
 // problem: pairing is deterministic and cheap (O(n log n)), so RunIncremental
 // replays the whole topology and intercepts each pair-merge with a lookup by
-// its Merkle SubtreeKey.  Every sub-tree untouched by the sink-set change
-// keys identically to the base run and is decoded from the cache; only
+// its Merkle key (subtreekey.go).  Every sub-tree untouched by the sink-set
+// change keys identically to the base run and is decoded from the cache; only
 // merges in the affected region — where a sink moved, appeared or vanished,
 // plus the merge spine above it — miss and are actually routed.  Because a
 // cached value is the byte-exact tree the original merge produced and a
@@ -81,54 +79,19 @@ func (f *Flow) RunIncremental(ctx context.Context, base *Result, sinks []Sink) (
 	return res, nil
 }
 
-// harvestEntry is one memoized merge of a base result: its Merkle key and
-// the sub-tree node it addresses (encoded lazily, only when the cache is
-// missing the key).
-type harvestEntry struct {
-	key   string
-	node  *mergeroute.Subtree
-	flips int
-}
-
-// harvestBase inserts the base result's sub-trees into the cache under
-// their SubtreeKeys when absent.  It lets an incremental run start from a
+// harvestBase puts every sub-tree the base run keyed into the cache, under
+// the key the base run gave it.  It lets an incremental run start from a
 // base synthesized before the cache existed (or after the cache lost those
-// entries).  The Merkle walk — the O(n·depth) hashing pass — runs once per
-// base and is memoized on the Result; subsequent harvests are a cheap
-// key-presence sweep.
+// entries); a key the cache already holds only refreshes its recency.
 func (f *Flow) harvestBase(base *Result) {
-	if base.rootSubtree == nil {
-		return
-	}
-	base.harvestOnce.Do(func() {
-		var walk func(s *mergeroute.Subtree) levelNode
-		walk = func(s *mergeroute.Subtree) levelNode {
-			n := levelNode{st: s}
-			if s.Children[0] == nil || s.Children[1] == nil {
-				n.key, n.sinks = f.leafKey(Sink{Name: s.Root.Name, Pos: s.Root.Pos, Cap: s.Root.SinkCap})
-				return n
-			}
-			n.key, n.sinks = f.mergeKey(walk(s.Children[0]), walk(s.Children[1]))
-			fl := 0
-			if s.Flipped {
-				fl = 1
-			}
-			base.harvestKeys = append(base.harvestKeys, harvestEntry{key: n.key, node: s, flips: fl})
-			return n
-		}
-		walk(base.rootSubtree)
-	})
-	cache := f.cfg.subtreeCache
-	for _, e := range base.harvestKeys {
-		if _, ok := cache.Get(e.key); !ok {
-			cache.Put(e.key, mergeroute.EncodeSubtree(e.node, e.flips))
-		}
+	for _, e := range base.subtrees {
+		f.cfg.subtreeCache.Put(e.key, e.value)
 	}
 }
 
 // DiffSinks summarizes how the new sink set differs from the old one.  Both
 // slices are read-only; names are matched exactly and positions and
-// capacitances are compared at exact float64 bits, mirroring SubtreeKey.
+// capacitances are compared at exact float64 bits, mirroring the leaf key.
 func DiffSinks(old, new []Sink) SinkDiff {
 	so := make([]Sink, len(old))
 	copy(so, old)
@@ -160,7 +123,7 @@ func DiffSinks(old, new []Sink) SinkDiff {
 }
 
 // sinkSameBits reports whether two same-named sinks are geometrically
-// identical at exact float64 bits (the equality SubtreeKey hashes by).
+// identical at exact float64 bits (the equality the leaf key hashes by).
 func sinkSameBits(a, b Sink) bool {
 	return math.Float64bits(a.Pos.X) == math.Float64bits(b.Pos.X) &&
 		math.Float64bits(a.Pos.Y) == math.Float64bits(b.Pos.Y) &&

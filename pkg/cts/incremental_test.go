@@ -160,6 +160,95 @@ func TestIncrementalHarvestColdCache(t *testing.T) {
 	}
 }
 
+// TestIncrementalHarvestFollowsCorrection holds the delta path to a
+// from-scratch run under H-structure correction, which re-pairs
+// grandchildren, so that a flipped merge's skeleton no longer holds the two
+// inputs the level loop keyed it by.  A delta must write the from-scratch
+// deck with the from-scratch flip count whether its base ran through the
+// delta's own flow or is harvested into a fresh flow's empty cache, and an
+// identical replay into an empty cache must reuse every merge of the base.
+func TestIncrementalHarvestFollowsCorrection(t *testing.T) {
+	tt := tech.Default()
+	lib := charlib.NewAnalytic(tt)
+	for _, tc := range []struct {
+		bench      string
+		correction cts.Correction
+		kind       string // the Perturb kind; "" replays the base's sinks
+		seed       int64
+		cold       bool // harvest the base into a fresh flow's empty cache
+		short      bool
+	}{
+		{"r5", cts.CorrectionReEstimate, "add", 2, false, true},
+		{"r3", cts.CorrectionReEstimate, "move", 3, false, false},
+		{"r3", cts.CorrectionReEstimate, "move", 3, true, false},
+		{"r3", cts.CorrectionReEstimate, "drop", 5, true, false},
+		{"r1", cts.CorrectionReEstimate, "", 0, true, true},
+		{"r2", cts.CorrectionReEstimate, "", 0, true, false},
+		{"r3", cts.CorrectionReEstimate, "", 0, true, false},
+		{"r1", cts.CorrectionFull, "", 0, true, false},
+		{"r2", cts.CorrectionFull, "", 0, true, false},
+		{"r3", cts.CorrectionFull, "", 0, true, false},
+	} {
+		step, harvest := "replay", "own"
+		if tc.kind != "" {
+			step = fmt.Sprintf("%s_%d", tc.kind, tc.seed)
+		}
+		if tc.cold {
+			harvest = "cold"
+		}
+		t.Run(fmt.Sprintf("%s/%v/%s/%s", tc.bench, tc.correction, step, harvest), func(t *testing.T) {
+			if testing.Short() && !tc.short {
+				t.Skip("-short keeps the r5 row and one replay")
+			}
+			newFlow := func(opts ...cts.Option) *cts.Flow {
+				f, err := cts.New(tt, append(opts, cts.WithLibrary(lib), cts.WithCorrection(tc.correction))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+			bm, err := bench.SyntheticScaled(tc.bench, 150)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flow := newFlow(cts.WithSubtreeCache(cts.NewMemorySubtreeCache(0)))
+			base, err := flow.Run(context.Background(), bm.Sinks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.cold {
+				flow = newFlow(cts.WithSubtreeCache(cts.NewMemorySubtreeCache(0)))
+			}
+
+			want, sinks := base, bm.Sinks
+			if tc.kind != "" {
+				pert, err := bench.Perturb(bm, tc.kind, 0.02, tc.seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want, err = newFlow().Run(context.Background(), pert.Sinks); err != nil {
+					t.Fatal(err)
+				}
+				sinks = pert.Sinks
+			}
+			inc, err := flow.RunIncremental(context.Background(), base, sinks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, w := deckHash(t, inc, tc.bench), deckHash(t, want, tc.bench); got != w {
+				t.Errorf("delta deck hash %s differs from from-scratch %s", got, w)
+			}
+			if inc.Flippings != want.Flippings {
+				t.Errorf("delta flip count %d, from-scratch %d", inc.Flippings, want.Flippings)
+			}
+			if st := inc.Incremental; tc.kind == "" && st.RecomputedMerges != 0 {
+				t.Errorf("identical replay recomputed %d of %d merges, want 0",
+					st.RecomputedMerges, st.RecomputedMerges+st.ReusedSubtrees)
+			}
+		})
+	}
+}
+
 // TestIncrementalAddDropAndReplay covers the remaining edit kinds end to
 // end, plus the degenerate replays: an identical resubmission recomputes
 // nothing, and added/dropped sinks keep the bit-identity contract.

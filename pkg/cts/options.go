@@ -146,8 +146,10 @@ func WithParallelism(n int) Option {
 	return func(c *config) { c.parallelism = n }
 }
 
-// WithSubtreeCache installs a content-addressed cache of merged sub-trees,
-// keyed by SubtreeKey.  Every run of the flow writes its merges through to
+// WithSubtreeCache installs a content-addressed cache of merged sub-trees.
+// A merge's key hashes the settings and its two inputs' keys, and a single
+// sink's key hashes the settings and the sink, so a key names a sub-tree's
+// whole merge history.  Every run of the flow writes its merges through to
 // the cache; RunIncremental additionally consults it before routing each
 // merge, reusing sub-trees unchanged since earlier runs.  The cache may be
 // shared across flows and concurrent runs, but only within one technology
@@ -205,9 +207,9 @@ func WithVerifier(v Verifier) Option {
 type Flow struct {
 	cfg config
 	// subtreePrefix is the precomputed settings-dependent hash prefix of
-	// SubtreeKey (set only when a subtree cache is configured): the keying
-	// hot path hashes it directly instead of re-marshaling the settings for
-	// every merge.
+	// every subtree key (set only when a subtree cache is configured): the
+	// keying hot path hashes it directly instead of re-marshaling the
+	// settings for every merge.
 	subtreePrefix []byte
 	// emitMu serializes observer invocations: events may originate from
 	// RunBatch workers and from the intra-run level scheduler, but the

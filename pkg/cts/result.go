@@ -2,11 +2,9 @@ package cts
 
 import (
 	"encoding/json"
-	"sync"
 	"time"
 
 	"repro/internal/clocktree"
-	"repro/internal/mergeroute"
 	"repro/internal/spice"
 )
 
@@ -33,20 +31,19 @@ type Result struct {
 	// RunIncremental; nil otherwise.
 	Incremental *IncrementalStats
 
-	// rootSubtree and effSinks retain the synthesis-time view (the final
-	// merged sub-tree and the effective, defaulted sink set, in sinkLess
-	// order) when a subtree cache is configured, so this result can be
-	// harvested as the base of a later RunIncremental.
-	rootSubtree *mergeroute.Subtree
-	effSinks    []Sink
-	// harvestOnce/harvestKeys memoize harvestBase's Merkle walk: the keys
-	// are a pure function of this result's tree and settings, so repeated
-	// incremental runs against the same base skip the O(n·depth) re-hash and
-	// only top up whatever the cache has since evicted.  (RunIncremental
-	// rejects a base synthesized under different settings, so the first
-	// walk's keys are valid for every later harvest.)
-	harvestOnce sync.Once
-	harvestKeys []harvestEntry
+	// With a subtree cache configured, effSinks retains the effective
+	// (defaulted) sinks in input order and subtrees every sub-tree the run
+	// keyed, so this result can serve as the base of a later RunIncremental,
+	// which diffs the sinks and harvests the sub-trees into its cache.
+	effSinks []Sink
+	subtrees []keyedSubtree
+}
+
+// keyedSubtree is one merge of a run: its key and its encoded value, as
+// written through to the subtree cache or decoded from it.
+type keyedSubtree struct {
+	key   string
+	value []byte
 }
 
 // Verify runs the golden transient simulation of the synthesized tree on

@@ -163,7 +163,6 @@ func (r *correctionMergeRouter) Merge(ctx context.Context, a, b *mergeroute.Subt
 	if err != nil {
 		return nil, 0, err
 	}
-	merged.Flipped = true
 	return merged, 1, nil
 }
 

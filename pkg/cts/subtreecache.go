@@ -6,10 +6,11 @@ import (
 )
 
 // SubtreeCache is the storage interface behind WithSubtreeCache: a
-// content-addressed map from SubtreeKey to the encoded sub-tree value
-// (internal/mergeroute's codec format).  Implementations must be safe for
-// concurrent use — a Flow's parallel merge fan-out writes through from
-// multiple goroutines, and servers share one cache across jobs.
+// content-addressed map from a sub-tree's key (see WithSubtreeCache) to its
+// encoded value (internal/mergeroute's codec format).  Implementations must
+// be safe for concurrent use — a Flow's parallel merge fan-out writes
+// through from multiple goroutines, and servers share one cache across
+// jobs.
 //
 // The cache is purely an accelerator: a Get miss (or a value that fails to
 // decode) makes the flow recompute the merge, so implementations may drop,

@@ -22,21 +22,17 @@ func (r *corpusRand) next() float64 {
 func (r *corpusRand) intn(n int) int { return int(r.next() * float64(n)) }
 
 // TestSubtreeKeyProperties drives a 200-instance random corpus through the
-// SubtreeKey contract: the key must be invariant under sink reordering and
-// input-slice aliasing (the input slice is never mutated), and distinct
-// under any perturbation of a coordinate, a capacitance, a settings field or
-// the child-key list.
+// two subtree-key derivations: a leaf key must move under any perturbation
+// of the sink's name, a coordinate, its capacitance or a settings field, a
+// merge key under a swap or change of its child keys or a settings change,
+// and no leaf key may equal a merge key.
 func TestSubtreeKeyProperties(t *testing.T) {
 	rng := corpusRand(20260807)
 	for instance := 0; instance < 200; instance++ {
-		n := 1 + rng.intn(20)
-		sinks := make([]cts.Sink, n)
-		for i := range sinks {
-			sinks[i] = cts.Sink{
-				Name: fmt.Sprintf("s%d_%d", instance, i),
-				Pos:  geom.Pt(rng.next()*10000, rng.next()*10000),
-				Cap:  10 + rng.next()*30,
-			}
+		sink := cts.Sink{
+			Name: fmt.Sprintf("s%d", instance),
+			Pos:  geom.Pt(rng.next()*10000, rng.next()*10000),
+			Cap:  10 + rng.next()*30,
 		}
 		s := cts.Settings{
 			SlewLimit:  80 + rng.next()*40,
@@ -45,76 +41,73 @@ func TestSubtreeKeyProperties(t *testing.T) {
 			Beta:       10 + rng.next()*20,
 			GridSize:   30 + rng.intn(60),
 		}
-		childKeys := []string{"", "left", "right"}[:rng.intn(4)]
-		key := cts.SubtreeKey(s, sinks, childKeys...)
+		leaf := cts.LeafKey(s, sink)
+		left, right := cts.LeafKey(s, cts.Sink{Name: "l", Pos: sink.Pos}), leaf
+		merge := cts.MergeKey(s, left, right)
 
-		// Invariance: a rotated (and, via repeated rotation, arbitrarily
-		// reordered) copy keys identically.
-		rot := rng.intn(n)
-		reordered := append(append([]cts.Sink{}, sinks[rot:]...), sinks[:rot]...)
-		if got := cts.SubtreeKey(s, reordered, childKeys...); got != key {
-			t.Fatalf("instance %d: key changed under reordering", instance)
-		}
-
-		// Aliasing: the function must canonicalize into a private copy, so
-		// the caller's slice comes back in its original order and a second
-		// call over the same backing array still matches.
-		before := fmt.Sprintf("%v", sinks)
-		_ = cts.SubtreeKey(s, sinks, childKeys...)
-		if after := fmt.Sprintf("%v", sinks); after != before {
-			t.Fatalf("instance %d: SubtreeKey reordered the caller's slice", instance)
-		}
-		if got := cts.SubtreeKey(s, sinks[:n:n], childKeys...); got != key {
-			t.Fatalf("instance %d: key changed under slice aliasing", instance)
-		}
-
-		// Distinctness: every single-field perturbation must move the key.
-		pi := rng.intn(n)
-		perturb := func(label string, mutate func(c []cts.Sink)) {
-			c := append([]cts.Sink{}, sinks...)
-			mutate(c)
-			if cts.SubtreeKey(s, c, childKeys...) == key {
-				t.Fatalf("instance %d: key unchanged under %s perturbation", instance, label)
+		up := func(v float64) float64 { return math.Nextafter(v, math.Inf(1)) }
+		for label, mutate := range map[string]func(c *cts.Sink){
+			"name":        func(c *cts.Sink) { c.Name += "x" },
+			"x":           func(c *cts.Sink) { c.Pos.X = up(c.Pos.X) },
+			"y":           func(c *cts.Sink) { c.Pos.Y = up(c.Pos.Y) },
+			"capacitance": func(c *cts.Sink) { c.Cap = up(c.Cap) },
+		} {
+			c := sink
+			mutate(&c)
+			if cts.LeafKey(s, c) == leaf {
+				t.Fatalf("instance %d: leaf key unchanged under %s perturbation", instance, label)
 			}
 		}
-		perturb("coordinate", func(c []cts.Sink) { c[pi].Pos.X = math.Nextafter(c[pi].Pos.X, math.Inf(1)) })
-		perturb("capacitance", func(c []cts.Sink) { c[pi].Cap = math.Nextafter(c[pi].Cap, math.Inf(1)) })
-		perturb("name", func(c []cts.Sink) { c[pi].Name += "x" })
-		perturb("membership", func(c []cts.Sink) { c[pi] = cts.Sink{Name: "other", Pos: c[pi].Pos, Cap: c[pi].Cap} })
+		for label, mutate := range map[string]func(c *cts.Settings){
+			"slew limit":  func(c *cts.Settings) { c.SlewLimit = up(c.SlewLimit) },
+			"slew target": func(c *cts.Settings) { c.SlewTarget = math.Nextafter(c.SlewTarget, 0) },
+			"alpha":       func(c *cts.Settings) { c.Alpha = up(c.Alpha) },
+			"beta":        func(c *cts.Settings) { c.Beta = up(c.Beta) },
+			"grid":        func(c *cts.Settings) { c.GridSize++ },
+			"correction":  func(c *cts.Settings) { c.Correction = cts.CorrectionFull },
+			"topology":    func(c *cts.Settings) { c.Topology = cts.TopologyBipartition },
+			"routing":     func(c *cts.Settings) { c.Routing = cts.RoutingHierarchical },
+		} {
+			c := s
+			mutate(&c)
+			if cts.LeafKey(c, sink) == leaf {
+				t.Fatalf("instance %d: leaf key unchanged under %s perturbation", instance, label)
+			}
+			if cts.MergeKey(c, left, right) == merge {
+				t.Fatalf("instance %d: merge key unchanged under %s perturbation", instance, label)
+			}
+		}
 
-		s2 := s
-		s2.GridSize++
-		if cts.SubtreeKey(s2, sinks, childKeys...) == key {
-			t.Fatalf("instance %d: key unchanged under settings perturbation", instance)
+		if cts.MergeKey(s, right, left) == merge {
+			t.Fatalf("instance %d: merge key unchanged under child-key swap", instance)
 		}
-		s3 := s
-		s3.SlewTarget = math.Nextafter(s3.SlewTarget, 0)
-		if cts.SubtreeKey(s3, sinks, childKeys...) == key {
-			t.Fatalf("instance %d: key unchanged under slew-target perturbation", instance)
+		if cts.MergeKey(s, left, left) == merge || cts.MergeKey(s, right, right) == merge ||
+			cts.MergeKey(s, left, merge) == merge {
+			t.Fatalf("instance %d: merge key unchanged under a changed child key", instance)
 		}
-		if cts.SubtreeKey(s, sinks, append(append([]string{}, childKeys...), "extra")...) == key {
-			t.Fatalf("instance %d: key unchanged under extra child key", instance)
-		}
-		if len(childKeys) == 2 {
-			if cts.SubtreeKey(s, sinks, childKeys[1], childKeys[0]) == key {
-				t.Fatalf("instance %d: key unchanged under child-key swap", instance)
+		for _, m := range []string{merge, cts.MergeKey(s, leaf, leaf), cts.MergeKey(s, "", "")} {
+			if m == leaf {
+				t.Fatalf("instance %d: leaf key equals a merge key", instance)
 			}
 		}
 	}
 }
 
 // TestSubtreeKeyLeafVsMerge pins the structural separations that do not fit
-// the random corpus: a leaf and a merge over the same sinks must differ, and
-// the empty child-key list must not alias a single empty child key.
+// the random corpus: a leaf whose name spells a merge's child keys, and an
+// empty-named leaf against a merge of two empty keys, must key apart from
+// the merge, and moving bytes between the two child keys must move the
+// merge key.
 func TestSubtreeKeyLeafVsMerge(t *testing.T) {
 	s := cts.Settings{SlewLimit: 100, SlewTarget: 80, Alpha: 1, Beta: 20, GridSize: 45}
-	sinks := []cts.Sink{{Name: "a", Pos: geom.Pt(1, 2), Cap: 20}}
-	leaf := cts.SubtreeKey(s, sinks)
-	if merge := cts.SubtreeKey(s, sinks, "ka", "kb"); merge == leaf {
-		t.Error("leaf key equals merge key over the same sinks")
+	if cts.LeafKey(s, cts.Sink{}) == cts.MergeKey(s, "", "") {
+		t.Error("empty leaf key equals the merge key of two empty keys")
 	}
-	if cts.SubtreeKey(s, sinks, "") == leaf {
-		t.Error("empty child key aliases the no-children leaf key")
+	if cts.LeafKey(s, cts.Sink{Name: "ka" + "kb"}) == cts.MergeKey(s, "ka", "kb") {
+		t.Error("leaf key equals a merge key over its name's halves")
+	}
+	if cts.MergeKey(s, "kak", "b") == cts.MergeKey(s, "ka", "kb") {
+		t.Error("merge key aliases child keys split at another byte")
 	}
 }
 
@@ -139,8 +132,8 @@ func TestCacheKeysPinned(t *testing.T) {
 			name:      "defaults",
 			json:      `{"slewLimit":100,"slewTarget":80,"alpha":1,"beta":20,"gridSize":45,"correction":"none","topology":"greedy","routing":"flat"}`,
 			canonical: "8cd67522dae34a60a0dfc877714fdc2baaab788415a569cb9545d24505aa6ea8",
-			merge:     "ab826be529305fb6836af9cd7b323f28d1c44ed00bb173cc2f96c561509fd3d7",
-			leaf:      "2340c3f5e0194747fd8bc040b8dae0b65d16fb7299c0a1b22f017a10308a79e1",
+			merge:     "7e8dc0942e2810baeb171b6f18db5cf3ed8b650bcc6e0db3450e545fbfc905bc",
+			leaf:      "a2f5c09751d556860d450a1aed16398baf14b5e22124e6680651beea67673a83",
 		},
 		{
 			name: "full-bipartition-hierarchical",
@@ -148,8 +141,8 @@ func TestCacheKeysPinned(t *testing.T) {
 				Routing: cts.RoutingHierarchical},
 			json:      `{"slewLimit":100,"slewTarget":80,"alpha":1,"beta":20,"gridSize":45,"correction":"full","topology":"bipartition","routing":"hierarchical"}`,
 			canonical: "d0214a2e2c076afd8ae218fd7d98c792c28604aae39bb136d5e7f86c250ad9d5",
-			merge:     "8f203c796d5cb4b6bd7cf80ad1d36e171ce19cb9acba77d810d811cb69073894",
-			leaf:      "dec693a9eb39053597899ee91d4cc2bdbce1f5c9fc930f28de2089690f06fbee",
+			merge:     "0a7e510618ecea860ab9728f8ff5084ee96e49f9e2d568a83ab4a79c44df8346",
+			leaf:      "88b2467d45aec2b86667b43a716bb07b0c9b1a359d493cd07a55ad07e45df530",
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -163,11 +156,11 @@ func TestCacheKeysPinned(t *testing.T) {
 			if got := cts.CanonicalKey(s, sinks); got != tc.canonical {
 				t.Errorf("CanonicalKey = %s, want %s", got, tc.canonical)
 			}
-			if got := cts.SubtreeKey(s, sinks, "k1", "k2"); got != tc.merge {
-				t.Errorf("merge SubtreeKey = %s, want %s", got, tc.merge)
+			if got := cts.MergeKey(s, "k1", "k2"); got != tc.merge {
+				t.Errorf("merge key = %s, want %s", got, tc.merge)
 			}
-			if got := cts.SubtreeKey(s, sinks[:1]); got != tc.leaf {
-				t.Errorf("leaf SubtreeKey = %s, want %s", got, tc.leaf)
+			if got := cts.LeafKey(s, sinks[0]); got != tc.leaf {
+				t.Errorf("leaf key = %s, want %s", got, tc.leaf)
 			}
 		})
 	}

@@ -35,7 +35,7 @@ var (
 	// key (cts.CanonicalKey plus the verify marker).
 	resultKind = tierKind{"/v1/peer/result/", "application/json", 0, validResult}
 	// subtreeKind caches encoded sub-trees (internal/mergeroute's codec)
-	// under cts.SubtreeKey.
+	// under the keys the flow's level loop gives them.
 	subtreeKind = tierKind{"/v1/peer/subtree/", "application/octet-stream", subtreeDiskMinBytes, validSubtree}
 )
 

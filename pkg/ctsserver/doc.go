@@ -205,9 +205,10 @@
 // small delta of that job's design (an ECO resubmission: a few sinks moved,
 // added or dropped).  The job then runs through cts.Flow.RunIncremental
 // against the server's shared subtree cache: every merged sub-tree whose
-// content key (cts.SubtreeKey over the exact sink subset, effective
-// settings and child keys) is unchanged is decoded from the cache instead
-// of re-paired and re-routed, and only the affected region recomputes.  The
+// content key (a hash of the effective settings and its two inputs' keys,
+// down to each sink's name and exact position and capacitance) is
+// unchanged is decoded from the cache instead of re-routed, and only the
+// affected region recomputes.  The
 // result is bit-identical to a from-scratch run — same canonical key, same
 // tree bytes — so it caches under the same result-cache entry; only the
 // incremental block of the Result (reusedSubtrees, recomputedMerges, the

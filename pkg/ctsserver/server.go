@@ -47,8 +47,8 @@ type Options struct {
 	// directory is created if missing.
 	CacheDir string
 	// CacheDiskBytes is the disk tier's byte budget over the entry files'
-	// sizes; 0 selects 1 GiB and negative values leave the tier
-	// unbounded.  Ignored without CacheDir.
+	// sizes, each rounded up to a whole 4 KiB block; 0 selects 1 GiB and
+	// negative values leave the tier unbounded.  Ignored without CacheDir.
 	CacheDiskBytes int64
 	// SubtreeCacheBytes is the subtree cache's memory budget over the
 	// encoded per-merge sub-trees that back incremental (baseJob) runs;
@@ -90,7 +90,7 @@ type Server struct {
 	mux      *http.ServeMux
 	sched    *scheduler
 	cache    *tier    // results by canonical request key
-	subtrees *tier    // sub-trees by cts.SubtreeKey; nil when disabled
+	subtrees *tier    // sub-trees by subtree key; nil when disabled
 	peers    *peerSet // sibling members for cross-node cache reads
 	metrics  *cts.MetricsObserver
 	obsm     *serverMetrics

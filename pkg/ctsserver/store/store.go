@@ -15,8 +15,7 @@
 // took about a third of the CPU of a server taking ECO resubmissions.  The
 // file stays a standard gzip stream with its CRC-32 trailer, so entries
 // that earlier builds wrote compressed stay readable, and zcat reads
-// either.  An entry's size is its file size and its last access is its
-// file mtime.  Next to the entries sits manifest.json, a checkpoint of the
+// either.  An entry's last access is its file mtime.  Next to the entries sits manifest.json, a checkpoint of the
 // index (key → {file, bytes, atime}) that only Open writes: it spares the
 // next Open from opening the entries it lists, and lets tools list the
 // keys without decompressing anything.  Get and Put never write it, so it
@@ -37,9 +36,12 @@
 //
 // # Eviction
 //
-// The store enforces a byte budget over the entries' file sizes.  When
-// a put pushes the total over budget, entries are evicted oldest-access
-// first.  Get and Put record an access by setting the entry file's mtime
+// The store enforces a byte budget over the disk space its entries take:
+// each entry is charged its file size rounded up to a whole 4 KiB block,
+// the space a file system allocates for it (a 600-byte entry takes 4096
+// bytes on ext4), so many small entries cannot overrun the budget several
+// times over.  When a put pushes the total over budget, entries are
+// evicted oldest-access first.  Get and Put record an access by setting the entry file's mtime
 // from a monotonic logical clock (so same-nanosecond accesses still order
 // correctly), and Open reads the order back from the mtimes.  The mtime
 // updates are not synced: a crash may lose the latest ones, which costs
@@ -81,7 +83,8 @@ type manifest struct {
 type manifestEntry struct {
 	// File is the entry's file name within the store directory.
 	File string `json:"file"`
-	// Bytes is the file size charged against the budget.
+	// Bytes is the file size.  The budget charges it rounded up to whole
+	// blocks (charge), and readEntry sizes its buffer by it.
 	Bytes int64 `json:"bytes"`
 	// ATime is the last access in Unix nanoseconds, kept on disk as the
 	// file's mtime; eviction removes the oldest first.
@@ -96,7 +99,8 @@ type Stats struct {
 	Dir string `json:"dir"`
 	// Entries is the number of stored results.
 	Entries int `json:"entries"`
-	// Bytes is the on-disk total charged against MaxBytes.
+	// Bytes is the on-disk total charged against MaxBytes: the entries'
+	// file sizes, each rounded up to a whole 4 KiB block.
 	Bytes int64 `json:"bytes"`
 	// MaxBytes is the eviction budget; 0 or below means unbounded.
 	MaxBytes int64 `json:"maxBytes"`
@@ -214,10 +218,19 @@ func (s *Store) load() error {
 		}
 		at := fi.ModTime().UnixNano()
 		s.entries[key] = manifestEntry{File: name, Bytes: fi.Size(), ATime: at}
-		s.bytes += fi.Size()
+		s.bytes += charge(fi.Size())
 		s.clock = max(s.clock, at)
 	}
 	return nil
+}
+
+// blockSize is the allocation unit charge rounds an entry's size up to.
+const blockSize = 4096
+
+// charge is the part of the budget an entry of size bytes takes: the
+// whole blocks its file occupies.
+func charge(size int64) int64 {
+	return (size + blockSize - 1) / blockSize * blockSize
 }
 
 // entryFile derives an entry's file name from its key.
@@ -289,7 +302,7 @@ func (s *Store) Get(key string) (data []byte, ok bool) {
 		// is left alone rather than deleted as corrupt.
 		if still && cur.ATime == e.ATime {
 			delete(s.entries, key)
-			s.bytes -= cur.Bytes
+			s.bytes -= charge(cur.Bytes)
 			s.corrupt++
 			_ = os.Remove(path)
 		}
@@ -400,7 +413,7 @@ func (s *Store) Put(key string, data []byte) {
 	if err != nil {
 		return
 	}
-	if s.maxBytes > 0 && size > s.maxBytes {
+	if s.maxBytes > 0 && charge(size) > s.maxBytes {
 		// An entry larger than the whole budget would evict every other
 		// result just to be evicted next; refuse it, as the memory LRU does.
 		_ = os.Remove(path)
@@ -411,7 +424,7 @@ func (s *Store) Put(key string, data []byte) {
 	e, ok := s.entries[key]
 	if !ok {
 		e = manifestEntry{File: name, Bytes: size}
-		s.bytes += size
+		s.bytes += charge(size)
 	}
 	e.ATime = s.now()
 	s.entries[key] = e
@@ -475,7 +488,7 @@ func (s *Store) evictLocked() {
 			break
 		}
 		delete(s.entries, v.key)
-		s.bytes -= v.e.Bytes
+		s.bytes -= charge(v.e.Bytes)
 		s.evictions++
 		_ = os.Remove(filepath.Join(s.dir, v.e.File))
 	}

@@ -147,6 +147,27 @@ func TestEvictionOrder(t *testing.T) {
 	}
 }
 
+// TestEvictionChargesWholeBlocks pins the budget to the disk space entries
+// take: a 600-byte entry occupies a whole 4 KiB block, so a budget of three
+// blocks holds three such entries, and a fourth evicts the oldest.
+func TestEvictionChargesWholeBlocks(t *testing.T) {
+	s := reopen(t, t.TempDir(), 3*blockSize)
+	for i := 0; i < 4; i++ {
+		s.Put(fmt.Sprintf("k%d", i), make([]byte, 600))
+	}
+	if _, ok := s.Get("k0"); ok {
+		t.Error("k0 survived, want evicted as the oldest of four blocks over a three-block budget")
+	}
+	for i := 1; i < 4; i++ {
+		if _, ok := s.Get(fmt.Sprintf("k%d", i)); !ok {
+			t.Errorf("k%d evicted, want kept", i)
+		}
+	}
+	if st := s.Stats(); st.Entries != 3 || st.Bytes != 3*blockSize || st.Evictions != 1 {
+		t.Errorf("stats %+v, want 3 entries charged %d bytes and 1 eviction", st, 3*blockSize)
+	}
+}
+
 // TestCorruptEntryIsDeletedAndMisses pins corruption tolerance: a damaged
 // entry file is deleted on the failed read and reported as a miss, never an
 // error.
@@ -411,7 +432,8 @@ func TestManifestMissesLaterPuts(t *testing.T) {
 
 // TestManifestListsDroppedEntries pins the other side: entries evicted or
 // deleted as corrupt after Open stay listed in the manifest, and the next
-// Open drops them without charging their bytes to the budget.
+// Open drops them without charging their bytes to the budget.  The
+// survivors are charged their file sizes rounded up to whole blocks.
 func TestManifestListsDroppedEntries(t *testing.T) {
 	dir := t.TempDir()
 	s := reopen(t, dir, 0)
@@ -439,7 +461,7 @@ func TestManifestListsDroppedEntries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want += fi.Size()
+		want += charge(fi.Size())
 	}
 	if st := s.Stats(); st.Entries != 2 || st.Bytes != want || st.Corrupt != 0 {
 		t.Errorf("reopened stats %+v, want 2 entries of %d bytes", st, want)
@@ -562,7 +584,8 @@ func TestEntryFormat(t *testing.T) {
 // into the directory compressed, at gzip.DefaultCompression and at
 // gzip.BestSpeed, as earlier builds' Put wrote them, are indexed by Open
 // both from their headers (no manifest) and from a manifest that lists
-// them, served byte for byte, and charged their file sizes.
+// them, served byte for byte, and charged their file sizes rounded up to
+// whole blocks.
 func TestReadsEarlierEntries(t *testing.T) {
 	dir := t.TempDir()
 	values := map[string][]byte{}
@@ -581,7 +604,7 @@ func TestReadsEarlierEntries(t *testing.T) {
 		if buf.Len() >= len(values[key]) {
 			t.Fatalf("level %d entry is %d bytes, not compressed", level, buf.Len())
 		}
-		size += int64(buf.Len())
+		size += charge(int64(buf.Len()))
 		if err := os.WriteFile(filepath.Join(dir, entryFile(key)), buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -206,13 +206,12 @@ type levelNode struct {
 // 4.1.1 pairs disjoint sub-trees), so the rest go to a worker pool bounded
 // by the flow's parallelism, each into its pair's slot, read after every
 // worker has joined: the level is bit-identical to the sequential path at
-// any width.  Routed merges are then written through, in pair order, and
-// every keyed pair is recorded on res for a later harvest.
+// any width.  Routed merges are then written through, in pair order.  Every
+// pair decoded or written through is recorded on res for a later harvest.
 func (f *Flow) mergeLevel(ctx context.Context, merger MergeRouter, current []levelNode, pairs []Pairing, res *Result) ([]levelNode, int, int, error) {
 	cache, stats := f.cfg.subtreeCache, res.Incremental
 	merged := make([]levelNode, len(pairs))
 	flips := make([]int, len(pairs))
-	values := make([][]byte, len(pairs))
 	route := make([]int, 0, len(pairs)) // the pairs to merge-route
 	for i, p := range pairs {
 		if cache != nil {
@@ -224,7 +223,8 @@ func (f *Flow) mergeLevel(ctx context.Context, merger MergeRouter, current []lev
 		if stats != nil {
 			if value, ok := cache.Get(merged[i].key); ok {
 				if st, fl, err := mergeroute.DecodeSubtree(value); err == nil {
-					merged[i].st, flips[i], values[i] = st, fl, value
+					merged[i].st, flips[i] = st, fl
+					res.subtrees = append(res.subtrees, keyedSubtree{merged[i].key, value})
 					continue
 				}
 				// An undecodable value is just a miss: the merge below
@@ -310,11 +310,9 @@ func (f *Flow) mergeLevel(ctx context.Context, merger MergeRouter, current []lev
 	}
 	if cache != nil {
 		for _, i := range route {
-			values[i] = mergeroute.EncodeSubtree(merged[i].st, flips[i])
-			cache.Put(merged[i].key, values[i])
-		}
-		for i, v := range values {
-			res.subtrees = append(res.subtrees, keyedSubtree{merged[i].key, v})
+			value := mergeroute.EncodeSubtree(merged[i].st, flips[i])
+			cache.Put(merged[i].key, value)
+			res.subtrees = append(res.subtrees, keyedSubtree{merged[i].key, value})
 		}
 	}
 	reused := len(pairs) - len(route)

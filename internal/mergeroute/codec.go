@@ -39,9 +39,9 @@ import (
 //	    [child 0 skeleton], [child 1 skeleton]
 //	checksum                   — first 8 bytes of sha256 over everything above
 //
-// Version 1 ("stc1") also carried each skeleton entry's topology level and
-// correction flag, which nothing reads.  The subtree keys changed with the
-// format, so a cache never holds a version 1 value under a current key.
+// The magic and pkg/cts's subtree key stamp change together: a cache never
+// replaces a resident key, so a new format under unchanged keys would miss
+// forever wherever an old value lives.
 //
 // The trailing checksum is what makes a cache value trustworthy: structural
 // validation alone cannot tell a flipped coordinate bit from a real one, and

@@ -172,22 +172,22 @@ func TestIncrementalHarvestFollowsCorrection(t *testing.T) {
 	lib := charlib.NewAnalytic(tt)
 	for _, tc := range []struct {
 		bench      string
-		correction cts.Correction
+		correction string // a ParseCorrection token
 		kind       string // the Perturb kind; "" replays the base's sinks
 		seed       int64
 		cold       bool // harvest the base into a fresh flow's empty cache
 		short      bool
 	}{
-		{"r5", cts.CorrectionReEstimate, "add", 2, false, true},
-		{"r3", cts.CorrectionReEstimate, "move", 3, false, false},
-		{"r3", cts.CorrectionReEstimate, "move", 3, true, false},
-		{"r3", cts.CorrectionReEstimate, "drop", 5, true, false},
-		{"r1", cts.CorrectionReEstimate, "", 0, true, true},
-		{"r2", cts.CorrectionReEstimate, "", 0, true, false},
-		{"r3", cts.CorrectionReEstimate, "", 0, true, false},
-		{"r1", cts.CorrectionFull, "", 0, true, false},
-		{"r2", cts.CorrectionFull, "", 0, true, false},
-		{"r3", cts.CorrectionFull, "", 0, true, false},
+		{"r5", "reestimate", "add", 2, false, true},
+		{"r3", "reestimate", "move", 3, false, false},
+		{"r3", "reestimate", "move", 3, true, false},
+		{"r3", "reestimate", "drop", 5, true, false},
+		{"r1", "reestimate", "", 0, true, true},
+		{"r2", "reestimate", "", 0, true, false},
+		{"r3", "reestimate", "", 0, true, false},
+		{"r1", "full", "", 0, true, false},
+		{"r2", "full", "", 0, true, false},
+		{"r3", "full", "", 0, true, false},
 	} {
 		step, harvest := "replay", "own"
 		if tc.kind != "" {
@@ -196,12 +196,16 @@ func TestIncrementalHarvestFollowsCorrection(t *testing.T) {
 		if tc.cold {
 			harvest = "cold"
 		}
-		t.Run(fmt.Sprintf("%s/%v/%s/%s", tc.bench, tc.correction, step, harvest), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s/%s/%s/%s", tc.bench, tc.correction, step, harvest), func(t *testing.T) {
 			if testing.Short() && !tc.short {
 				t.Skip("-short keeps the r5 row and one replay")
 			}
+			corr, err := cts.ParseCorrection(tc.correction)
+			if err != nil {
+				t.Fatal(err)
+			}
 			newFlow := func(opts ...cts.Option) *cts.Flow {
-				f, err := cts.New(tt, append(opts, cts.WithLibrary(lib), cts.WithCorrection(tc.correction))...)
+				f, err := cts.New(tt, append(opts, cts.WithLibrary(lib), cts.WithCorrection(corr))...)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -12,17 +12,18 @@ import (
 // and its sink (name, then position and capacitance at full float64
 // precision, as in CanonicalKey); a merge's key hashes the prefix and its
 // two inputs' keys in merge order.  The level loop merges two inputs
-// deterministically, so by induction two merges share a key exactly when
-// the default pipeline would produce byte-identical sub-trees for them,
-// whatever H-structure correction does to the merged skeleton.  A distinct
-// tag byte keeps leaf and merge messages apart.  Like CanonicalKey, the
-// keys assume a fixed technology and characterization library: a
-// SubtreeCache must not be shared across different ones.
+// deterministically, so by induction two merges that share a key produce
+// byte-identical sub-trees, whatever H-structure correction does to the
+// merged skeleton.  A distinct tag byte keeps leaf and merge messages
+// apart.  Like CanonicalKey, the keys assume a fixed technology and
+// characterization library: a SubtreeCache must not be shared across
+// different ones.
 
 // subtreeKeyPrefix serializes the settings-dependent hash prefix of every
 // subtree key.  It is a pure function of the settings, so a Flow computes
 // it once rather than re-marshaling the settings for every key.  It panics
-// on the settings CanonicalKey panics on.
+// on the settings CanonicalKey panics on.  Its version stamp changes with
+// the subtree codec's magic (internal/mergeroute/codec.go).
 func subtreeKeyPrefix(s Settings) []byte {
 	sj := settingsJSON(s)
 	p := make([]byte, 0, len("cts-subtree-v2")+8+len(sj))

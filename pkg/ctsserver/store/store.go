@@ -15,11 +15,12 @@
 // took about a third of the CPU of a server taking ECO resubmissions.  The
 // file stays a standard gzip stream with its CRC-32 trailer, so entries
 // that earlier builds wrote compressed stay readable, and zcat reads
-// either.  An entry's last access is its file mtime.  Next to the entries sits manifest.json, a checkpoint of the
-// index (key → {file, bytes, atime}) that only Open writes: it spares the
-// next Open from opening the entries it lists, and lets tools list the
-// keys without decompressing anything.  Get and Put never write it, so it
-// lags whatever they changed until the next Open.
+// either.  An entry's last access is its file mtime.  Next to the entries
+// sits manifest.json, a checkpoint of the index (key → {file, bytes,
+// atime}) that only Open writes: it spares the next Open from opening the
+// entries it lists, and lets tools list the keys without decompressing
+// anything.  Get and Put never write it, so it lags whatever they changed
+// until the next Open.
 //
 // # Durability and corruption tolerance
 //
@@ -41,12 +42,12 @@
 // the space a file system allocates for it (a 600-byte entry takes 4096
 // bytes on ext4), so many small entries cannot overrun the budget several
 // times over.  When a put pushes the total over budget, entries are
-// evicted oldest-access first.  Get and Put record an access by setting the entry file's mtime
-// from a monotonic logical clock (so same-nanosecond accesses still order
-// correctly), and Open reads the order back from the mtimes.  The mtime
-// updates are not synced: a crash may lose the latest ones, which costs
-// eviction order, never a result.  A budget of zero or below disables the
-// bound.
+// evicted oldest-access first.  Get and Put record an access by setting the
+// entry file's mtime from a monotonic logical clock (so same-nanosecond
+// accesses still order correctly), and Open reads the order back from the
+// mtimes.  The mtime updates are not synced: a crash may lose the latest
+// ones, which costs eviction order, never a result.  A budget of zero or
+// below disables the bound.
 package store
 
 import (
